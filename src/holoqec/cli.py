@@ -32,7 +32,7 @@ from . import (
     subspace_distance,
     transversal_holonomy,
 )
-from .errors import GeoLattice, geolocal_errors
+from .errors import EnumerationCapError, GeoLattice, geolocal_errors
 from .fivequbit import R3, STABILIZER_LABELS
 from . import toric as tt
 
@@ -366,6 +366,8 @@ def cmd_toric(args) -> int:
         )
         return 0 if ok else 1
 
+    if args.config is None:
+        raise ValueError(f"toric {args.subcommand} needs --config")
     lat, cfg, s, word = _load_toric_config(args.config)
     tc = tt.build_code(lat, cfg, separation=s)
     if args.subcommand == "build":
@@ -568,7 +570,7 @@ def main(argv=None) -> int:
         args.gate = None
     try:
         return args.func(args)
-    except (tt.RoutingError, ValueError) as exc:
+    except (tt.RoutingError, ValueError, EnumerationCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import _paulis_on_support, squdit_errors
 from .frames import Frame
 from .pauli import LocalOperator, PauliString, apply_pauli
 
@@ -32,9 +33,6 @@ __all__ = [
     "code_to_json",
     "code_from_json",
 ]
-
-_LETTERS = ("X", "Y", "Z")
-
 
 @dataclass(frozen=True)
 class Code:
@@ -216,10 +214,7 @@ def _scan_supports(
     deterministic, thread-count-independent result.
     """
     for si, supp in indexed_supports:
-        for li, letters in enumerate(itertools.product(_LETTERS, repeat=len(supp))):
-            p = PauliString.identity(n)
-            for site, letter in zip(supp, letters):
-                p = p * PauliString.single(n, site, letter)
+        for li, p in enumerate(_paulis_on_support(n, supp)):
             if _scalar_part(blocks(p), blocks.eye)[1] >= tol:
                 return si, li, p
     return None
@@ -274,8 +269,6 @@ def logical_action(code: Code, u, tol: float = 1e-9) -> np.ndarray:
 
 def corrects_s_errors(code: Code, s: int, tol: float = 1e-9) -> bool:
     """True iff the full weight-<=s Pauli set passes the correction condition."""
-    from .errors import squdit_errors
-
     if s < 0:
         raise ValueError("s must be non-negative")
     return correction_condition(code, squdit_errors(code.n, s), tol).correctable

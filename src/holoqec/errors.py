@@ -65,12 +65,20 @@ class ErrorSet:
 
 
 def _paulis_on_support(n: int, support: Sequence[int]) -> Iterator[PauliString]:
-    """All non-identity-free assignments over a fixed full support."""
+    """All non-identity-free assignments over a fixed full support.
+
+    Letters run X < Y < Z per site, the first site slowest.  Each Pauli is
+    the product of its single-site letters; as the sites are distinct the
+    factors commute, and the phase exponent is the number of Y letters.
+    """
     for letters in itertools.product(_LETTERS, repeat=len(support)):
-        p = PauliString.identity(n)
+        x = z = 0
         for site, letter in zip(support, letters):
-            p = p * PauliString.single(n, site, letter)
-        yield p
+            if letter != "Z":
+                x |= 1 << site
+            if letter != "X":
+                z |= 1 << site
+        yield PauliString(n, x, z, letters.count("Y"))
 
 
 def squdit_errors(n: int, s: int) -> ErrorSet:

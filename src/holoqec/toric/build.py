@@ -15,6 +15,7 @@ import numpy as np
 
 from ..codes import Code
 from ..frames import Frame, orthonormalize
+from ..pauli import PauliString, apply_pauli
 from .lattice import (
     DEFAULT_SEPARATION,
     DefectConfig,
@@ -110,12 +111,6 @@ def _homology_shifts(lat: TorusLattice) -> tuple[int, int]:
     return row, col
 
 
-def _apply_x_mask(arr: np.ndarray, mask: int, n: int) -> np.ndarray:
-    from ..pauli import _indices
-
-    return arr[np.bitwise_xor(_indices(n), np.uint64(mask))]
-
-
 def build_code(
     lat: TorusLattice, cfg: DefectConfig, separation: int = DEFAULT_SEPARATION
 ) -> ToricCode:
@@ -154,7 +149,7 @@ def build_code(
     primal_set = set(cfg.primal)
     for v in lat.vertices():
         eps = -1.0 if v in primal_set else 1.0
-        arr = 0.5 * (arr + eps * _apply_x_mask(arr, vertex_mask(lat, v), n))
+        arr = 0.5 * (arr + eps * apply_pauli(PauliString(n, vertex_mask(lat, v), 0), arr))
 
     frame = orthonormalize(arr.T)  # columns are already orthogonal; normalize
     if frame.K != 4:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from ..frames import Frame
-from ..pauli import alpha, beta
+from ..pauli import PauliString, alpha, beta, pauli_mul
 from ..transport import HolonomyResult, classify
 from .braid import BraidWord, compile_braid
 from .build import ToricCode
@@ -89,6 +89,7 @@ class _State:
         self.primal: list = [VertexPos(v) for v in tc.cfg.primal]
         self.dual: list = [VertexPos(f) for f in tc.cfg.dual]
         self.fdata = tc.frame.data
+        self.pending = PauliString.identity(tc.n)  # hops not yet applied
         self.face_ctx: tuple[str, tuple[int, int], dict, int] | None = None
         self.transcript: list[dict] = []
 
@@ -113,6 +114,12 @@ class _State:
                 f"at distance {hc.min_distance}"
             )
 
+    def flush(self) -> None:
+        """Apply the pending hops' exact product to the frame, in one pass."""
+        if self.pending != PauliString.identity(self.tc.n):
+            self.fdata = self.pending.apply(self.fdata)
+            self.pending = PauliString.identity(self.tc.n)
+
     # -- segment handlers ----------------------------------------------------
 
     def hop(self, seg: DiscreteHop) -> None:
@@ -123,7 +130,7 @@ class _State:
             raise TransportError(f"{status}: {detail}")
         self.primal = [VertexPos(v) for v in nxt.primal]
         self.dual = [VertexPos(f) for f in nxt.dual]
-        self.fdata = step_pauli(self.lat, seg.step).apply(self.fdata)
+        self.pending = pauli_mul(step_pauli(self.lat, seg.step), self.pending)
         self.transcript.append(
             {"segment": "hop", "kind": seg.step.kind, "edge": list(seg.step.edge), "detail": detail}
         )
@@ -144,6 +151,7 @@ class _State:
 
     def slide(self, seg: EdgeSlide) -> None:
         self.face_ctx = None
+        self.flush()
         if not (0.0 <= seg.t_from <= 1.0 and 0.0 <= seg.t_to <= 1.0):
             raise TransportError("slide parameters must lie in [0, 1]")
         idx = self._find_on_edge(seg.kind, seg.edge, seg.t_from)
@@ -183,6 +191,7 @@ class _State:
         self.face_ctx = (seg.kind, seg.face, frames, idx)
 
     def face_move(self, seg: FaceMove) -> None:
+        self.flush()
         if self.face_ctx is None or self.face_ctx[:2] != (seg.kind, seg.face):
             self._enter_face(seg)
         kind, face, frames, idx = self.face_ctx
@@ -226,7 +235,8 @@ def transport_along(tc: ToricCode, path: ConfigPath) -> tuple[Frame, list[dict]]
     """Compose the path's fibre maps onto the code frame.
 
     Returns the transported frame and a per-segment transcript; raises
-    TransportError on any illegal move.
+    TransportError on any illegal move.  Hops are checked one by one, but
+    each run of them reaches the frame as one exact Pauli product.
     """
     st = _State(tc)
     for seg in path.segments:
@@ -238,6 +248,7 @@ def transport_along(tc: ToricCode, path: ConfigPath) -> tuple[Frame, list[dict]]
             st.face_move(seg)
         else:
             raise TypeError(f"unknown segment {seg!r}")
+    st.flush()
     return Frame(st.fdata), st.transcript
 
 

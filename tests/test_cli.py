@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from holoqec.cli import main
 
@@ -60,6 +65,33 @@ def test_correctable_weight1(tmp_path):
     rc = main(["correctable", "--code", "fivequbit", "--errors", "squdit:s=1",
                "--expect", "true", "--out", str(tmp_path / "r.json")])
     assert rc == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["toric", "build"],
+        ["correctable", "--code", "toric:L=3", "--errors", "geolocal:s=2,t=2"],
+    ],
+    ids=["toric-build-without-config", "enumeration-cap"],
+)
+def test_library_errors_exit_2_with_one_line(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "holoqec", "distance", "--code", "fivequbit",
+         "--max-weight", "3", "--expect", "3", "--out", str(tmp_path / "r.json")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "distance: 3" in proc.stdout
+    assert read_report(tmp_path / "r.json")["results"]["delta"] == 3
 
 
 def test_correctable_geolocal_on_toric(tmp_path):

@@ -106,6 +106,46 @@ def test_apply_matches_dense_oracle(rng):
     assert np.allclose(apply_pauli(p, m), p.to_dense() @ m)
 
 
+def _apply_pauli_reference(p, v):
+    """The index formula: (P v)[m] = i^k (-1)^popcount((m ^ x) & z) v[m ^ x]."""
+    src = np.arange(1 << p.n, dtype=np.uint64) ^ np.uint64(p.x_bits)
+    out = v[src]
+    if p.z_bits:
+        par = np.bitwise_count(src & np.uint64(p.z_bits)).astype(np.int64) & 1
+        signs = 1.0 - 2.0 * par
+        out = out * (signs[:, None] if v.ndim == 2 else signs)
+    if p.phase_exp:
+        out = out * p.phase
+    return out
+
+
+def test_apply_matches_index_formula_exactly(rng):
+    """Values and dtype equal the index formula; zero signs may differ."""
+    for n in range(1, 9):
+        N = 1 << n
+        inputs = (
+            rng.normal(size=N),
+            rng.normal(size=(N, 3)),
+            rng.normal(size=N) + 1j * rng.normal(size=N),
+            rng.normal(size=(N, 2)) + 1j * rng.normal(size=(N, 2)),
+        )
+        for k in range(4):
+            for _ in range(5):
+                p = PauliString(n, int(rng.integers(0, N)), int(rng.integers(0, N)), k)
+                for v in inputs:
+                    got, want = apply_pauli(p, v), _apply_pauli_reference(p, v)
+                    assert got.dtype == want.dtype
+                    assert got.shape == v.shape
+                    assert np.array_equal(got, want)
+
+
+def test_apply_leaves_input_unchanged(rng):
+    v = rng.normal(size=(16, 2)) + 1j * rng.normal(size=(16, 2))
+    before = v.copy()
+    apply_pauli(PauliString.from_label("-i*XYZY"), v)
+    assert np.array_equal(v, before)
+
+
 def test_apply_dimension_mismatch():
     with pytest.raises(ValueError):
         apply_pauli(PauliString.identity(2), np.zeros(7, dtype=complex))

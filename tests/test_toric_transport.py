@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from holoqec import subspace_equal
+from holoqec import Frame, subspace_equal
+from holoqec.pauli import alpha, beta
 from holoqec.toric import (
     ConfigPath,
     ContractibleLoop,
+    DefectConfig,
     DiscreteHop,
     Edge,
     EdgeSlide,
@@ -14,9 +16,11 @@ from holoqec.toric import (
     Step,
     TorusLoop,
     TransportError,
+    compile_braid,
     monodromy,
     transport_along,
 )
+from holoqec.toric.strings import step_pauli
 from holoqec.transport import NONTRIVIAL_LOGICAL, PHASE_ONLY
 
 
@@ -133,6 +137,79 @@ def test_transport_rejects_illegal_hop(toric3_two_primal):
         transport_along(
             tc, ConfigPath((DiscreteHop(Step("primal", Edge(1, 0, "v"))),))
         )
+
+
+def _hop_reference(tc, steps, data):
+    """Apply each hop's single-site Pauli in turn."""
+    for step in steps:
+        data = step_pauli(tc.lat, step).apply(data)
+    return data
+
+
+def test_hop_run_equals_sequential_hops(toric3_braidable):
+    tc = toric3_braidable
+    word = [FullBraid(("primal", 0), ("dual", 0)), TorusLoop(("dual", 0), "vertical")]
+    ev, _ = compile_braid(tc.lat, tc.cfg, word, tc.separation, 0)
+    out, transcript = transport_along(tc, ConfigPath.from_evolution(ev))
+    assert np.array_equal(out.data, _hop_reference(tc, ev.steps, tc.frame.data))
+    assert len(transcript) == len(ev.steps)
+
+
+def test_hops_around_slide_equal_segment_reference(toric3_braidable):
+    """The dual hop's X sits on the edge the primal defect then slides along,
+    so it anticommutes with the slide and must reach the frame first."""
+    tc = toric3_braidable
+    edge = Edge(0, 0, "v")
+    before = (Step("primal", Edge(0, 2, "h")), Step("dual", Edge(2, 0, "h")))
+    after = (
+        Step("primal", edge),
+        Step("dual", Edge(2, 0, "h")),
+        Step("primal", Edge(0, 2, "h")),
+    )
+    path = ConfigPath(
+        tuple(DiscreteHop(s) for s in before)
+        + (EdgeSlide("primal", edge, 0.0, 0.6), EdgeSlide("primal", edge, 0.6, 1.0))
+        + tuple(DiscreteHop(s) for s in after)
+    )
+    out, _ = transport_along(tc, path)
+
+    sigma = step_pauli(tc.lat, Step("primal", edge))
+    data = _hop_reference(tc, before, tc.frame.data)
+    for d in (0.6, 0.4):
+        data = alpha(d) * data + beta(d) * sigma.apply(data)
+    data = _hop_reference(tc, after, data)
+    assert np.array_equal(out.data, data)
+    assert subspace_equal(out, tc.frame, 1e-10)
+
+
+def test_hops_before_face_move_equal_segment_reference(toric3_braidable):
+    """The dual hop's X sits on edge CA of the face the primal defect then
+    crosses, so the face frames must be built after it reaches the frame."""
+    tc = toric3_braidable
+    hop = Step("dual", Edge(2, 0, "h"))
+    face = (
+        FaceMove("primal", (0, 0), (0.0, 0.0), (0.5, 0.5)),
+        FaceMove("primal", (0, 0), (0.5, 0.5), (1.0, 1.0)),
+    )
+    out, _ = transport_along(tc, ConfigPath((DiscreteHop(hop),) + face))
+
+    moved = DefectConfig(tc.cfg.primal, ((0, 0), tc.cfg.dual[1]))
+    hopped = tc.with_frame(Frame(_hop_reference(tc, (hop,), tc.frame.data)), moved)
+    ref, _ = transport_along(hopped, ConfigPath(face))
+    assert np.array_equal(out.data, ref.data)
+
+
+def test_illegal_hop_after_legal_hops_raises(toric3_two_primal):
+    tc = toric3_two_primal
+    path = ConfigPath(
+        (
+            DiscreteHop(Step("primal", Edge(0, 0, "h"))),
+            DiscreteHop(Step("primal", Edge(1, 0, "v"))),
+            DiscreteHop(Step("primal", Edge(0, 0, "v"))),
+        )
+    )
+    with pytest.raises(TransportError, match="would-create"):
+        transport_along(tc, path)
 
 
 def test_monodromy_table(toric3_braidable, toric3_swap):
