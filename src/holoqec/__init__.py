@@ -44,18 +44,10 @@ from .pauli import (
     apply_pauli,
     beta,
     interp_matrix,
-    interp_unitary_apply,
     pauli_mul,
 )
-from .transport import (
-    HolonomyResult,
-    NotALoopError,
-    TransportSegment,
-    classify,
-    lift_frame,
-)
+from .transport import FlatnessReport, HolonomyResult, NotALoopError, classify
 from .transversal import (
-    FlatnessReport,
     LieAlgebraBasis,
     TransversalPath,
     TransversalUnitary,

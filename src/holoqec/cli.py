@@ -29,7 +29,7 @@ from . import (
     flatness_probe_transversal,
     pauli_generator_path,
     squdit_errors,
-    subspace_distance,
+    subspace_distance,  # noqa: F401  unused here; perfbench/api.py swaps it by name
     transversal_holonomy,
 )
 from .errors import EnumerationCapError, GeoLattice, geolocal_errors
@@ -76,18 +76,23 @@ def _summary(line: str) -> None:
     print(line)
 
 
-def _complex_matrix(m: np.ndarray) -> list:
-    return [[[z.real, z.imag] for z in row] for row in m]
-
-
 # -- code and error-set loading ----------------------------------------------
+
+
+def _spec_params(spec: str, *required: str) -> dict[str, str]:
+    """The k=v pairs after the colon of a code or error-set spec."""
+    params = dict(kv.split("=") for kv in spec.partition(":")[2].split(","))
+    for key in required:
+        if key not in params:
+            raise ValueError(f"{spec!r} needs {key}=...")
+    return params
 
 
 def _load_code(spec: str):
     if spec == "fivequbit":
         return five_qubit_code(), None
     if spec.startswith("toric:"):
-        params = dict(kv.split("=") for kv in spec[len("toric:"):].split(","))
+        params = _spec_params(spec, "L")
         L = int(params["L"])
         s = int(params.get("s", 0))
         lat = tt.TorusLattice(L)
@@ -98,20 +103,20 @@ def _load_code(spec: str):
     path = Path(spec)
     if path.exists():
         return code_from_json(path.read_text()), None
-    raise SystemExit(f"unknown code spec {spec!r}")
+    raise ValueError(f"unknown code spec {spec!r} (no such file)")
 
 
 def _load_errors(spec: str, code, toric_code):
     if spec.startswith("squdit:"):
-        params = dict(kv.split("=") for kv in spec[len("squdit:"):].split(","))
+        params = _spec_params(spec, "s")
         return squdit_errors(code.n, int(params["s"]))
     if spec.startswith("geolocal:"):
         if toric_code is None:
-            raise SystemExit("geolocal error sets need a toric:L=... code")
-        params = dict(kv.split("=") for kv in spec[len("geolocal:"):].split(","))
+            raise ValueError("geolocal error sets need a toric:L=... code")
+        params = _spec_params(spec, "s", "t")
         lat = GeoLattice.toric_edges(toric_code.lat.L)
         return geolocal_errors(lat, int(params["s"]), int(params["t"]))
-    raise SystemExit(f"unknown error-set spec {spec!r}")
+    raise ValueError(f"unknown error-set spec {spec!r}")
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -208,9 +213,9 @@ def _transversal_path_for_gate(gate: str):
     if gate.startswith("stabilizer-"):
         k = int(gate.split("-")[1])
         if not 1 <= k <= 4:
-            raise SystemExit("stabilizer index must be 1..4")
+            raise ValueError("stabilizer index must be 1..4")
         return pauli_generator_path(PauliString.from_label(STABILIZER_LABELS[k - 1]))
-    raise SystemExit(f"unknown gate {gate!r}")
+    raise ValueError(f"unknown gate {gate!r}")
 
 
 def cmd_transversal(args) -> int:
@@ -241,13 +246,7 @@ def cmd_transversal(args) -> int:
     elif args.subcommand == "holonomy":
         path = _transversal_path_for_gate(args.gate)
         res = transversal_holonomy(code, path, tol=args.tol)
-        results = {
-            "gate": args.gate,
-            "classification": res.classification,
-            "phase": [res.phase.real, res.phase.imag],
-            "logical": _complex_matrix(res.logical),
-            "residual": res.residual,
-        }
+        results = {"gate": args.gate, **res.to_json_dict()}
         ok = res.residual < args.tol
         _summary(f"holonomy {args.gate}: {res.classification}, residual {res.residual:.2e}")
     elif args.subcommand == "flatness":
@@ -267,7 +266,7 @@ def cmd_transversal(args) -> int:
             f"{rep.trials} trials ({'ok' if ok else 'FAIL'})"
         )
     else:
-        raise SystemExit(f"unknown transversal subcommand {args.subcommand!r}")
+        raise ValueError(f"unknown transversal subcommand {args.subcommand!r}")
     _emit(
         {
             "command": f"transversal {args.subcommand}",
@@ -288,6 +287,8 @@ def cmd_transversal(args) -> int:
 
 def _load_toric_config(path: str):
     doc = json.loads(Path(path).read_text())
+    if "L" not in doc:
+        raise ValueError(f"toric config {path} needs \"L\"")
     lat = tt.TorusLattice(int(doc["L"]))
     cfg = tt.DefectConfig(
         tuple(tuple(v) for v in doc.get("primal", [])),
@@ -307,47 +308,15 @@ def _load_toric_config(path: str):
         elif op == "ContractibleLoop":
             word.append(tt.ContractibleLoop(ref(a[0]), int(a[1])))
         else:
-            raise SystemExit(f"unknown braid op {op!r}")
+            raise ValueError(f"unknown braid op {op!r}")
     return lat, cfg, s, word
-
-
-def _random_braid_words(tc, rng, count):
-    """Legal single-generator candidates, sampled into short words."""
-    candidates = []
-    for kind, sites in (("primal", tc.cfg.primal), ("dual", tc.cfg.dual)):
-        for i in range(len(sites)):
-            candidates.append(tt.TorusLoop((kind, i), "horizontal"))
-            candidates.append(tt.TorusLoop((kind, i), "vertical"))
-            candidates.append(tt.ContractibleLoop((kind, i), 1))
-        for i in range(len(sites)):
-            for j in range(i + 1, len(sites)):
-                candidates.append(tt.HalfBraid((kind, i), (kind, j)))
-    for i in range(len(tc.cfg.primal)):
-        for j in range(len(tc.cfg.dual)):
-            candidates.append(tt.FullBraid(("primal", i), ("dual", j)))
-            candidates.append(tt.FullBraid(("dual", j), ("primal", i)))
-    words = []
-    guard = 0
-    while len(words) < count and guard < 50 * count:
-        guard += 1
-        length = int(rng.integers(1, 3))
-        word = [candidates[int(rng.integers(0, len(candidates)))] for _ in range(length)]
-        try:
-            tt.compile_braid(tc.lat, tc.cfg, word, tc.separation, 0)
-            tt.compile_braid(tc.lat, tc.cfg, word, tc.separation, 1)
-        except tt.RoutingError:
-            continue
-        words.append(word)
-    if len(words) < count:
-        raise SystemExit("could not sample enough routable braid words")
-    return words
 
 
 def cmd_toric(args) -> int:
     ok = True
     if args.subcommand == "face-checks":
         lat = tt.TorusLattice(args.L)
-        results = _face_checks(lat, tol=args.tol)
+        results = tt.face_checks(lat, tol=args.tol)
         ok = results["ok"]
         _summary(
             f"face-checks L={args.L}: winding {results['max_winding']:.2e}, "
@@ -383,40 +352,24 @@ def cmd_toric(args) -> int:
         _summary(f"build L={lat.L} defects {cfg.n_primal}+{cfg.n_dual}: K = {tc.code.K}")
     elif args.subcommand == "braid":
         res, transcript = tt.monodromy(tc, word, variant=0, tol=args.tol)
-        results = {
-            "classification": res.classification,
-            "phase": [res.phase.real, res.phase.imag],
-            "logical": _complex_matrix(res.logical),
-            "residual": res.residual,
-            "transcript": transcript,
-        }
+        results = {**res.to_json_dict(), "transcript": transcript}
         ok = res.residual < args.tol
         _summary(
             f"braid: {res.classification}, phase {res.phase:.6f}, residual {res.residual:.2e}"
         )
     elif args.subcommand == "flatness":
-        rng = np.random.default_rng(args.seed)
-        words = _random_braid_words(tc, rng, args.trials)
-        worst = 0.0
-        for w in words:
-            devs = []
-            ev0, _ = tt.compile_braid(lat, cfg, w, s, 0)
-            ev1, _ = tt.compile_braid(lat, cfg, w, s, 1)
-            f0, _ = tt.transport_along(tc, tt.ConfigPath.from_evolution(ev0))
-            f1, _ = tt.transport_along(tc, tt.ConfigPath.from_evolution(ev1))
-            m0 = tc.frame.data.conj().T @ f0.data
-            m1 = tc.frame.data.conj().T @ f1.data
-            t = np.trace(m1.conj().T @ m0)
-            xi = t / abs(t) if abs(t) > 1e-12 else 1.0
-            worst = max(worst, float(np.max(np.abs(f0.data - xi * f1.data))))
-        ok = worst < args.tol
-        results = {"trials": len(words), "max_deviation": worst, "tol": args.tol}
+        rep = tt.flatness_probe_toric(
+            tc, args.trials, tol=args.tol, rng=np.random.default_rng(args.seed)
+        )
+        ok = rep.ok
+        worst = rep.max_phase_adjusted_deviation
+        results = {"trials": rep.trials, "max_deviation": worst, "tol": rep.tol}
         _summary(
-            f"toric flatness: max deviation {worst:.3e} over {len(words)} braid words "
+            f"toric flatness: max deviation {worst:.3e} over {rep.trials} braid words "
             f"({'ok' if ok else 'FAIL'})"
         )
     else:
-        raise SystemExit(f"unknown toric subcommand {args.subcommand!r}")
+        raise ValueError(f"unknown toric subcommand {args.subcommand!r}")
     _emit(
         {
             "command": f"toric {args.subcommand}",
@@ -432,62 +385,6 @@ def cmd_toric(args) -> int:
         args.out,
     )
     return 0 if ok else 1
-
-
-def _face_checks(lat: tt.TorusLattice, tol: float) -> dict:
-    """Criterion-style face diagnostics: winding, coefficients, frame checks."""
-    from .pauli import alpha, beta
-
-    max_winding = max(
-        abs(tt.det_winding_check(lat, f)) for f in lat.faces()
-    )
-    worst_coeff = 0.0
-    for k in range(21):
-        u = k / 20
-        a, c, d = tt.lower_coeffs(u, 0.0)  # edge CD
-        worst_coeff = max(worst_coeff, abs(a), abs(c - alpha(u)), abs(d - beta(u)))
-        a, c, d = tt.lower_coeffs(0.0, u)  # edge CA
-        worst_coeff = max(worst_coeff, abs(a - beta(u)), abs(c - alpha(u)), abs(d))
-        a, b, d = tt.upper_coeffs(u, 1.0)  # edge AB
-        worst_coeff = max(worst_coeff, abs(a - alpha(u)), abs(b - beta(u)), abs(d))
-        a, b, d = tt.upper_coeffs(1.0, u)  # edge DB
-        worst_coeff = max(worst_coeff, abs(a), abs(b - beta(u)), abs(d - alpha(u)))
-        # diagonal agreement between the two triangles
-        a, c, d = tt.lower_coeffs(u, 1.0 - u)
-        ap, bp, dp = tt.upper_coeffs(u, 1.0 - u)
-        worst_coeff = max(worst_coeff, abs(a - ap), abs(bp), abs(c), abs(d - dp))
-    # normalization on a 20-point grid
-    for kx in range(21):
-        for ky in range(21):
-            x, y = kx / 20, ky / 20
-            if x + y <= 1:
-                a, c, d = tt.lower_coeffs(x, y)
-                worst_coeff = max(worst_coeff, abs(abs(a) ** 2 + abs(c) ** 2 + abs(d) ** 2 - 1))
-            if x + y >= 1:
-                a, b, d = tt.upper_coeffs(x, y)
-                worst_coeff = max(worst_coeff, abs(abs(a) ** 2 + abs(b) ** 2 + abs(d) ** 2 - 1))
-    max_frame = None
-    if lat.L >= 3:
-        cfg = tt.DefectConfig(((0, 0), (2, 2)), ())
-        tc = tt.build_code(lat, cfg, separation=1)
-        max_frame = 0.0
-        for k in range(1, 20):
-            u = k / 20
-            fb = tt.face_code(tc, "primal", (0, 0), (u, 0.0))
-            fe = tt.edge_code(tc, "primal", tt.Edge(0, 0, "h"), u)
-            max_frame = max(max_frame, subspace_distance(fb, fe))
-            fb = tt.face_code(tc, "primal", (0, 0), (0.0, u))
-            fe = tt.edge_code(tc, "primal", tt.Edge(0, 0, "v"), u)
-            max_frame = max(max_frame, subspace_distance(fb, fe))
-    ok = max_winding < 1e-9 and worst_coeff < 1e-12 and (
-        max_frame is None or max_frame < tol
-    )
-    return {
-        "max_winding": max_winding,
-        "max_coeff_deviation": worst_coeff,
-        "max_frame_deviation": max_frame,
-        "ok": ok,
-    }
 
 
 def cmd_report_merge(args) -> int:
@@ -562,15 +459,9 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.tol is None:
         args.tol = _env_default("tol", float, args.default_tol)
-    if not hasattr(args, "samples"):
-        args.samples = None
-    if not hasattr(args, "trials"):
-        args.trials = None
-    if not hasattr(args, "gate"):
-        args.gate = None
     try:
         return args.func(args)
-    except (tt.RoutingError, ValueError, EnumerationCapError) as exc:
+    except (tt.RoutingError, ValueError, EnumerationCapError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

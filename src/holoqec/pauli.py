@@ -29,7 +29,6 @@ __all__ = [
     "alpha",
     "beta",
     "interp_matrix",
-    "interp_unitary_apply",
     "apply_site_matrix",
     "LocalOperator",
     "SIGMA",
@@ -216,21 +215,6 @@ def interp_matrix(letter: str, t: float, direction: str = "forward") -> np.ndarr
         return alpha(t) * _I2 + beta(t) * s
     if direction == "reverse":
         return (alpha(1 - t) * _I2 + beta(1 - t) * s) @ s
-    raise ValueError(f"unknown direction {direction!r}")
-
-
-def interp_unitary_apply(
-    letter: str, site: int, t: float, direction: str, v: np.ndarray, n: int
-) -> np.ndarray:
-    """Apply U^i_j(t) or V^i_j(t) to a state or frame over ``n`` qubits."""
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t={t} outside [0, 1]")
-    sig = PauliString.single(n, site, letter)
-    w = apply_pauli(sig, v)
-    if direction == "forward":
-        return alpha(t) * v + beta(t) * w
-    if direction == "reverse":
-        return beta(1 - t) * v + alpha(1 - t) * w
     raise ValueError(f"unknown direction {direction!r}")
 
 

@@ -27,6 +27,7 @@ __all__ = [
 ]
 
 DefectRef = tuple[str, int]  # ("primal" | "dual", index)
+_OPPOSITE = {"primal": "dual", "dual": "primal"}
 
 
 @dataclass(frozen=True)
@@ -99,25 +100,19 @@ class _Compiler:
 
     def _position(self, ref: DefectRef):
         kind, idx = ref
-        sites = self.cfg.primal if kind == "primal" else self.cfg.dual
+        sites = self.cfg.sites(kind)
         if not 0 <= idx < len(sites):
             raise RoutingError(f"no such defect {ref}")
         return sites[idx]
 
-    def _edge_between(self, kind: str, a, b):
-        if kind == "primal":
-            return self.lat.connecting_edge(a, b)
-        return self.lat.dual_connecting_edge(a, b)
-
     def hop(self, ref: DefectRef, dest) -> None:
         kind, idx = ref
         src = self._position(ref)
-        step = Step(kind, self._edge_between(kind, src, dest))
+        step = Step(kind, self.lat.connecting_edge(src, dest))
         status, detail, nxt = _classify_step(self.lat, self.cfg, step, self.s)
         if status != HOP:
             raise RoutingError(f"hop {src} -> {dest} for {ref}: {status}: {detail}")
-        moved = nxt.primal[idx] if kind == "primal" else nxt.dual[idx]
-        if moved != self.lat.wrap_vertex(dest):
+        if nxt.sites(kind)[idx] != self.lat.wrap_vertex(dest):
             raise RoutingError(f"hop {src} -> {dest} moved a different defect")
         self.steps.append(step)
         self.cfg = nxt
@@ -172,7 +167,7 @@ class _Compiler:
             for i in range(r)
             for j in range(r)
         }
-        opposite = set(self.cfg.dual if kind == "primal" else self.cfg.primal)
+        opposite = set(self.cfg.sites(_OPPOSITE[kind]))
         if (opposite & block) - set(allow):
             return False
         interior = {
@@ -180,7 +175,7 @@ class _Compiler:
             for i in range(1, r)
             for j in range(1, r)
         }
-        same = set(self.cfg.primal if kind == "primal" else self.cfg.dual)
+        same = set(self.cfg.sites(kind))
         return not (same & interior)
 
     def contractible_loop(self, gen: ContractibleLoop) -> None:
@@ -211,6 +206,7 @@ class _Compiler:
     def full_braid(self, gen: FullBraid) -> None:
         mk, _ = gen.mover
         ak, _ = gen.around
+        src = self._position(gen.mover)
         target = self._position(gen.around)
         tx, ty = target
         L = self.lat.L
@@ -223,7 +219,6 @@ class _Compiler:
         if not self._block_clear(mk, corner, r, allow=(target,)):
             raise RoutingError(f"braid block around {gen.around} is not clean")
         ring = self._ring(corner, r)
-        src = self._position(gen.mover)
         dists = [self.lat.vertex_distance(src, v) for v in ring]
         entry = dists.index(min(dists))
         tail = _staircase(L, src, ring[entry], x_first=True)
@@ -335,12 +330,8 @@ def _rebuild_with_bump(
             return None
         step = steps[k]
         kind = step.kind
-        if kind == "primal":
-            a, b = lat.edge_endpoints(step.edge)
-            sites = comp.cfg.primal
-        else:
-            a, b = lat.dual_edge_endpoints(step.edge)
-            sites = comp.cfg.dual
+        a, b = lat.edge_endpoints(step.edge)
+        sites = comp.cfg.sites(kind)
         if (a in sites) == (b in sites):
             return None
         src, dst = (a, b) if a in sites else (b, a)
@@ -349,7 +340,7 @@ def _rebuild_with_bump(
         if vec is None:
             continue
         sides = [(0, 1), (0, -1)] if vec[1] == 0 else [(1, 0), (-1, 0)]
-        opposite = set(comp.cfg.dual if kind == "primal" else comp.cfg.primal)
+        opposite = set(comp.cfg.sites(_OPPOSITE[kind]))
         for side in sides:
             if _enclosed_site(kind, lat.L, src, vec, side) in opposite:
                 continue

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..frames import Frame
+from ..frames import Frame, subspace_distance
 from ..pauli import PauliString, alpha, beta, interp_matrix, pauli_mul
-from .build import ToricCode
+from .build import ToricCode, build_code
 from .lattice import DefectConfig, Edge, TorusLattice, hardcore_check
 from .strings import Step, step_pauli
 
@@ -32,6 +32,7 @@ __all__ = [
     "det_winding_check",
     "FaceEntryError",
     "face_corner_coords",
+    "face_checks",
 ]
 
 _EPS = 1e-12
@@ -93,21 +94,14 @@ def _face_corners(lat: TorusLattice, kind: str, face) -> dict[str, tuple[int, in
 
 
 def _connecting_pauli(lat: TorusLattice, kind: str, a, b) -> PauliString:
-    if kind == "primal":
-        return step_pauli(lat, Step("primal", lat.connecting_edge(a, b)))
-    return step_pauli(lat, Step("dual", lat.dual_connecting_edge(a, b)))
-
-
-def _corner_cfg(cfg: DefectConfig, kind: str, idx: int, vertex) -> DefectConfig:
-    return cfg.move_primal(idx, vertex) if kind == "primal" else cfg.move_dual(idx, vertex)
+    return step_pauli(lat, Step(kind, lat.connecting_edge(a, b)))
 
 
 def _moving_defect(lat: TorusLattice, tc: ToricCode, kind: str, corners) -> tuple[int, str]:
     """Index and corner label of the unique defect sitting on a corner."""
-    positions = tc.cfg.primal if kind == "primal" else tc.cfg.dual
     hits = [
         (i, lbl)
-        for i, p in enumerate(positions)
+        for i, p in enumerate(tc.cfg.sites(kind))
         for lbl, cv in corners.items()
         if p == cv
     ]
@@ -132,7 +126,7 @@ def corner_frames(
     idx, start_lbl = _moving_defect(lat, tc, kind, corners)
     for lbl, cv in corners.items():
         try:
-            cfg_l = _corner_cfg(tc.cfg, kind, idx, cv)
+            cfg_l = tc.cfg.move(kind, idx, cv)
         except ValueError as exc:  # another defect already occupies the corner
             raise FaceEntryError(f"corner {lbl} at {cv} is already occupied") from exc
         if not hardcore_check(lat, cfg_l, tc.separation).ok:
@@ -183,12 +177,8 @@ def edge_code(tc: ToricCode, kind: str, edge: Edge, t: float) -> Frame:
     if not 0.0 <= t <= 1.0:
         raise ValueError("t must lie in [0, 1]")
     lat = tc.lat
-    if kind == "primal":
-        a, b = lat.edge_endpoints(edge)
-        positions = tc.cfg.primal
-    else:
-        a, b = lat.dual_edge_endpoints(edge)
-        positions = tc.cfg.dual
+    a, b = lat.edge_endpoints(edge)
+    positions = tc.cfg.sites(kind)
     sigma = step_pauli(lat, Step(kind, edge))
     at_a = a in positions
     at_b = b in positions
@@ -197,7 +187,7 @@ def edge_code(tc: ToricCode, kind: str, edge: Edge, t: float) -> Frame:
     idx = positions.index(a if at_a else b)
     for dest in (a, b):
         try:
-            moved = _corner_cfg(tc.cfg, kind, idx, dest)
+            moved = tc.cfg.move(kind, idx, dest)
         except ValueError as exc:
             raise ValueError(f"edge endpoint {dest} is already occupied") from exc
         if not hardcore_check(lat, moved, tc.separation).ok:
@@ -243,3 +233,57 @@ def det_winding_check(
         for d0, d1 in zip(dets, dets[1:]):
             total += float(np.angle(d1 * np.conj(d0)))
     return total
+
+
+def face_checks(lat: TorusLattice, tol: float) -> dict:
+    """Criterion-style face diagnostics: winding, coefficients, frame checks."""
+    max_winding = max(
+        abs(det_winding_check(lat, f)) for f in lat.faces()
+    )
+    worst_coeff = 0.0
+    for k in range(21):
+        u = k / 20
+        a, c, d = lower_coeffs(u, 0.0)  # edge CD
+        worst_coeff = max(worst_coeff, abs(a), abs(c - alpha(u)), abs(d - beta(u)))
+        a, c, d = lower_coeffs(0.0, u)  # edge CA
+        worst_coeff = max(worst_coeff, abs(a - beta(u)), abs(c - alpha(u)), abs(d))
+        a, b, d = upper_coeffs(u, 1.0)  # edge AB
+        worst_coeff = max(worst_coeff, abs(a - alpha(u)), abs(b - beta(u)), abs(d))
+        a, b, d = upper_coeffs(1.0, u)  # edge DB
+        worst_coeff = max(worst_coeff, abs(a), abs(b - beta(u)), abs(d - alpha(u)))
+        # diagonal agreement between the two triangles
+        a, c, d = lower_coeffs(u, 1.0 - u)
+        ap, bp, dp = upper_coeffs(u, 1.0 - u)
+        worst_coeff = max(worst_coeff, abs(a - ap), abs(bp), abs(c), abs(d - dp))
+    # normalization on a 20-point grid
+    for kx in range(21):
+        for ky in range(21):
+            x, y = kx / 20, ky / 20
+            if x + y <= 1:
+                a, c, d = lower_coeffs(x, y)
+                worst_coeff = max(worst_coeff, abs(abs(a) ** 2 + abs(c) ** 2 + abs(d) ** 2 - 1))
+            if x + y >= 1:
+                a, b, d = upper_coeffs(x, y)
+                worst_coeff = max(worst_coeff, abs(abs(a) ** 2 + abs(b) ** 2 + abs(d) ** 2 - 1))
+    max_frame = None
+    if lat.L >= 3:
+        cfg = DefectConfig(((0, 0), (2, 2)), ())
+        tc = build_code(lat, cfg, separation=1)
+        max_frame = 0.0
+        for k in range(1, 20):
+            u = k / 20
+            fb = face_code(tc, "primal", (0, 0), (u, 0.0))
+            fe = edge_code(tc, "primal", Edge(0, 0, "h"), u)
+            max_frame = max(max_frame, subspace_distance(fb, fe))
+            fb = face_code(tc, "primal", (0, 0), (0.0, u))
+            fe = edge_code(tc, "primal", Edge(0, 0, "v"), u)
+            max_frame = max(max_frame, subspace_distance(fb, fe))
+    ok = max_winding < 1e-9 and worst_coeff < 1e-12 and (
+        max_frame is None or max_frame < tol
+    )
+    return {
+        "max_winding": max_winding,
+        "max_coeff_deviation": worst_coeff,
+        "max_frame_deviation": max_frame,
+        "ok": ok,
+    }

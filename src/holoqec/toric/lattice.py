@@ -4,7 +4,10 @@ Edges carry the qubits.  Horizontal edge (x, y, 'h') runs (x,y) -> (x+1,y),
 vertical edge (x, y, 'v') runs (x,y) -> (x,y+1); all orientations follow +x
 or +y so every face looks the same.  Dual vertices are the faces; a dual edge
 is indexed by the face it leaves in the +x or +y direction and crosses one
-primal edge, which is the qubit an X-string step acts on.
+primal edge, which is the qubit an X-string step acts on.  Dual edge
+(x, y, o) therefore joins faces exactly as primal edge (x, y, o) joins
+vertices, so ``edge_endpoints`` and ``connecting_edge`` serve both lattices;
+only the crossed qubit (``dual_crossing_qubit``) differs.
 
 Primal defects live on the primal lattice (vertices, edge interiors, face
 interiors); dual defects live on the dual lattice, with positions expressed
@@ -15,7 +18,7 @@ lattice).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Union
 
 __all__ = [
@@ -59,10 +62,6 @@ class TorusLattice:
     def n_edges(self) -> int:
         return 2 * self.L * self.L
 
-    @property
-    def N(self) -> int:
-        return 1 << self.n_edges
-
     def wrap(self, x: int) -> int:
         return x % self.L
 
@@ -88,7 +87,7 @@ class TorusLattice:
     # -- incidence -----------------------------------------------------------
 
     def edge_endpoints(self, e: Edge) -> tuple[Vertex, Vertex]:
-        """(oriented start, oriented end)."""
+        """(oriented start, oriented end); faces when ``e`` is a dual edge."""
         x, y = self.wrap(e.x), self.wrap(e.y)
         if e.o == "h":
             return (x, y), (self.wrap(x + 1), y)
@@ -121,18 +120,8 @@ class TorusLattice:
             (self.wrap(x + 1), self.wrap(y + 1)),
         ]
 
-    def faces_around_vertex(self, v: Vertex) -> list[Face]:
-        """Faces containing v: the corners of the dual face centered at v."""
-        x, y = self.wrap_vertex(v)
-        return [
-            (self.wrap(x - 1), self.wrap(y - 1)),
-            (x, self.wrap(y - 1)),
-            (self.wrap(x - 1), y),
-            (x, y),
-        ]
-
     def connecting_edge(self, a: Vertex, b: Vertex) -> Edge:
-        """The primal edge joining two adjacent vertices."""
+        """The edge joining two adjacent vertices, primal or dual (faces)."""
         ax, ay = self.wrap_vertex(a)
         bx, by = self.wrap_vertex(b)
         if ay == by and self.wrap(ax + 1) == bx:
@@ -147,32 +136,12 @@ class TorusLattice:
 
     # -- dual lattice ---------------------------------------------------------
 
-    def dual_edge_endpoints(self, e: Edge) -> tuple[Face, Face]:
-        """Dual edge (x, y, o): faces it joins, oriented +x ('h') or +y ('v')."""
-        x, y = self.wrap(e.x), self.wrap(e.y)
-        if e.o == "h":
-            return (x, y), (self.wrap(x + 1), y)
-        return (x, y), (x, self.wrap(y + 1))
-
     def dual_crossing_qubit(self, e: Edge) -> Edge:
         """Primal edge crossed by a dual edge: the qubit of an X-string step."""
         x, y = self.wrap(e.x), self.wrap(e.y)
         if e.o == "h":  # face (x,y) -> face (x+1,y) crosses shared vertical edge
             return Edge(self.wrap(x + 1), y, "v")
         return Edge(x, self.wrap(y + 1), "h")
-
-    def dual_connecting_edge(self, a: Face, b: Face) -> Edge:
-        ax, ay = self.wrap(a[0]), self.wrap(a[1])
-        bx, by = self.wrap(b[0]), self.wrap(b[1])
-        if ay == by and self.wrap(ax + 1) == bx:
-            return Edge(ax, ay, "h")
-        if ay == by and self.wrap(bx + 1) == ax:
-            return Edge(bx, by, "h")
-        if ax == bx and self.wrap(ay + 1) == by:
-            return Edge(ax, ay, "v")
-        if ax == bx and self.wrap(by + 1) == ay:
-            return Edge(bx, by, "v")
-        raise ValueError(f"faces {a} and {b} are not adjacent")
 
     # -- metric ---------------------------------------------------------------
 
@@ -182,9 +151,6 @@ class TorusLattice:
 
     def vertex_distance(self, a: Vertex, b: Vertex) -> int:
         return self.coord_distance(a[0], b[0]) + self.coord_distance(a[1], b[1])
-
-    def face_distance(self, a: Face, b: Face) -> int:
-        return self.vertex_distance(a, b)
 
     def vertex_face_distance(self, v: Vertex, f: Face) -> int:
         """Distance from a vertex to the closest corner of a face."""
@@ -237,8 +203,23 @@ def _adjacent_vertices(lat: TorusLattice, pos: Position) -> list[Vertex]:
     return [lat.wrap_vertex((x + dx, y + dy)) for dx in (0, 1) for dy in (0, 1)]
 
 
+class _Sites:
+    """Defect lists selected by kind: ``primal`` or ``dual``."""
+
+    def sites(self, kind: str) -> tuple:
+        if kind not in ("primal", "dual"):
+            raise ValueError(f"defect kind must be 'primal' or 'dual', not {kind!r}")
+        return getattr(self, kind)
+
+    def move(self, kind: str, i: int, pos):
+        """A copy with defect ``i`` of ``kind`` at ``pos``."""
+        new = list(self.sites(kind))
+        new[i] = pos
+        return replace(self, **{kind: tuple(new)})
+
+
 @dataclass(frozen=True)
-class DefectConfig:
+class DefectConfig(_Sites):
     """Discrete defect locations: primal on vertices, dual on faces."""
 
     primal: tuple[Vertex, ...]
@@ -266,19 +247,9 @@ class DefectConfig:
             tuple(VertexPos(f) for f in self.dual),
         )
 
-    def move_primal(self, i: int, v: Vertex) -> "DefectConfig":
-        new = list(self.primal)
-        new[i] = v
-        return DefectConfig(tuple(new), self.dual)
-
-    def move_dual(self, i: int, f: Face) -> "DefectConfig":
-        new = list(self.dual)
-        new[i] = f
-        return DefectConfig(self.primal, tuple(new))
-
 
 @dataclass(frozen=True)
-class ContinuousDefectConfig:
+class ContinuousDefectConfig(_Sites):
     """Defects anywhere on the torus: vertex, edge interior, or face interior."""
 
     primal: tuple[Position, ...]

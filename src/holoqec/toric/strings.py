@@ -83,28 +83,15 @@ def _classify_step(
     lat: TorusLattice, cfg: DefectConfig, step: Step, s: int
 ) -> tuple[str, str, DefectConfig]:
     """Status, human detail, and the configuration after a legal hop."""
-    if step.kind == "primal":
-        a, b = lat.edge_endpoints(step.edge)
-        occupied = set(cfg.primal)
-        at_a, at_b = a in occupied, b in occupied
-        if at_a and at_b:
-            return WOULD_ANNIHILATE, f"primal defects at both ends of {step.edge}", cfg
-        if not at_a and not at_b:
-            return WOULD_CREATE, f"no primal defect adjacent to {step.edge}", cfg
-        src, dst = (a, b) if at_a else (b, a)
-        idx = cfg.primal.index(src)
-        moved = cfg.move_primal(idx, dst)
-    else:
-        a, b = lat.dual_edge_endpoints(step.edge)
-        occupied = set(cfg.dual)
-        at_a, at_b = a in occupied, b in occupied
-        if at_a and at_b:
-            return WOULD_ANNIHILATE, f"dual defects at both ends of {step.edge}", cfg
-        if not at_a and not at_b:
-            return WOULD_CREATE, f"no dual defect adjacent to {step.edge}", cfg
-        src, dst = (a, b) if at_a else (b, a)
-        idx = cfg.dual.index(src)
-        moved = cfg.move_dual(idx, dst)
+    a, b = lat.edge_endpoints(step.edge)
+    sites = cfg.sites(step.kind)
+    at_a, at_b = a in sites, b in sites
+    if at_a and at_b:
+        return WOULD_ANNIHILATE, f"{step.kind} defects at both ends of {step.edge}", cfg
+    if not at_a and not at_b:
+        return WOULD_CREATE, f"no {step.kind} defect adjacent to {step.edge}", cfg
+    src, dst = (a, b) if at_a else (b, a)
+    moved = cfg.move(step.kind, sites.index(src), dst)
     hc = hardcore_check(lat, moved, s)
     if not hc.ok:
         return (

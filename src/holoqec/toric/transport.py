@@ -4,7 +4,8 @@ Three segment kinds compose a path: exact Pauli hops, edge-interpolation
 slides (the relative unitary between two positions on one edge), and in-face
 fibre moves given by the explicit coefficient solution.  Transport is the
 path-ordered product applied to the frame; a braid word's monodromy is the
-classified fibre action of its compiled hop path.
+classified fibre action of its compiled hop path, and two homotopic
+routings of a word must agree up to a phase (the flatness probe).
 """
 
 from __future__ import annotations
@@ -12,14 +13,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
+import numpy as np
+
 from ..frames import Frame
 from ..pauli import PauliString, alpha, beta, pauli_mul
-from ..transport import HolonomyResult, classify
-from .braid import BraidWord, compile_braid
+from ..transport import FlatnessReport, HolonomyResult, classify
+from .braid import (
+    BraidWord,
+    ContractibleLoop,
+    FullBraid,
+    HalfBraid,
+    RoutingError,
+    TorusLoop,
+    compile_braid,
+)
 from .build import ToricCode
 from .interp import combine_corner_frames, corner_frames, face_corner_coords
 from .lattice import (
-    ContinuousDefectConfig,
     DefectConfig,
     Edge,
     EdgePos,
@@ -37,6 +47,7 @@ __all__ = [
     "TransportError",
     "transport_along",
     "monodromy",
+    "flatness_probe_toric",
 ]
 
 
@@ -86,28 +97,23 @@ class _State:
     def __init__(self, tc: ToricCode):
         self.tc = tc
         self.lat = tc.lat
-        self.primal: list = [VertexPos(v) for v in tc.cfg.primal]
-        self.dual: list = [VertexPos(f) for f in tc.cfg.dual]
+        self.cfg = tc.cfg.to_continuous()
         self.fdata = tc.frame.data
         self.pending = PauliString.identity(tc.n)  # hops not yet applied
         self.face_ctx: tuple[str, tuple[int, int], dict, int] | None = None
         self.transcript: list[dict] = []
 
-    def positions(self, kind: str) -> list:
-        return self.primal if kind == "primal" else self.dual
-
-    def continuous_cfg(self) -> ContinuousDefectConfig:
-        return ContinuousDefectConfig(tuple(self.primal), tuple(self.dual))
-
     def discrete_cfg(self) -> DefectConfig:
-        if not all(isinstance(p, VertexPos) for p in self.primal + self.dual):
+        if not all(isinstance(p, VertexPos) for p in self.cfg.primal + self.cfg.dual):
             raise TransportError("configuration has defects off the lattice")
         return DefectConfig(
-            tuple(p.v for p in self.primal), tuple(p.v for p in self.dual)
+            tuple(p.v for p in self.cfg.primal), tuple(p.v for p in self.cfg.dual)
         )
 
-    def check_hardcore(self) -> None:
-        hc = hardcore_check(self.lat, self.continuous_cfg(), self.tc.separation)
+    def place(self, kind: str, idx: int, pos) -> None:
+        """Move one defect, then require the hard-core condition."""
+        self.cfg = self.cfg.move(kind, idx, pos)
+        hc = hardcore_check(self.lat, self.cfg, self.tc.separation)
         if not hc.ok:
             raise TransportError(
                 f"hard-core violation mid-path: {hc.violating_pair} "
@@ -128,20 +134,15 @@ class _State:
         status, detail, nxt = _classify_step(self.lat, cfg, seg.step, self.tc.separation)
         if status != HOP:
             raise TransportError(f"{status}: {detail}")
-        self.primal = [VertexPos(v) for v in nxt.primal]
-        self.dual = [VertexPos(f) for f in nxt.dual]
+        self.cfg = nxt.to_continuous()
         self.pending = pauli_mul(step_pauli(self.lat, seg.step), self.pending)
         self.transcript.append(
             {"segment": "hop", "kind": seg.step.kind, "edge": list(seg.step.edge), "detail": detail}
         )
 
     def _find_on_edge(self, kind: str, edge: Edge, t: float) -> int:
-        ends = (
-            self.lat.edge_endpoints(edge)
-            if kind == "primal"
-            else self.lat.dual_edge_endpoints(edge)
-        )
-        for i, p in enumerate(self.positions(kind)):
+        ends = self.lat.edge_endpoints(edge)
+        for i, p in enumerate(self.cfg.sites(kind)):
             if isinstance(p, EdgePos) and p.edge == edge and abs(p.t - t) < 1e-9:
                 return i
             if isinstance(p, VertexPos):
@@ -159,18 +160,13 @@ class _State:
         delta = seg.t_to - seg.t_from
         # U(t1) U(t0)^dagger = exp(i (t1 - t0) H) = alpha(d) 1 + beta(d) sigma
         self.fdata = alpha(delta) * self.fdata + beta(delta) * sigma.apply(self.fdata)
-        ends = (
-            self.lat.edge_endpoints(seg.edge)
-            if seg.kind == "primal"
-            else self.lat.dual_edge_endpoints(seg.edge)
-        )
+        ends = self.lat.edge_endpoints(seg.edge)
         pos = (
             VertexPos(ends[0 if seg.t_to == 0.0 else 1])
             if seg.t_to in (0.0, 1.0)
             else EdgePos(seg.edge, seg.t_to)
         )
-        self.positions(seg.kind)[idx] = pos
-        self.check_hardcore()
+        self.place(seg.kind, idx, pos)
         self.transcript.append(
             {
                 "segment": "slide",
@@ -201,9 +197,8 @@ class _State:
         from .interp import _face_corners  # corner label -> lattice site
 
         corners = _face_corners(self.lat, kind, face)
-        boundary_edge = None
         if seg.xy_to in corner_xy:
-            self.positions(kind)[idx] = VertexPos(corners[corner_xy[seg.xy_to]])
+            pos = VertexPos(corners[corner_xy[seg.xy_to]])
             self.face_ctx = None
         elif x == 0.0 or x == 1.0 or y == 0.0 or y == 1.0:
             # exit onto a boundary edge; t runs along the uniform orientation
@@ -215,12 +210,12 @@ class _State:
                 boundary_edge, t = Edge(*corners["C"], "h"), x  # CD
             else:
                 boundary_edge, t = Edge(*corners["A"], "h"), x  # AB
-            self.positions(kind)[idx] = EdgePos(boundary_edge, t)
+            pos = EdgePos(boundary_edge, t)
             self.face_ctx = None
         else:
             # FacePos.face is the lower-left corner on the defect's own lattice
-            self.positions(kind)[idx] = FacePos(corners["C"], seg.xy_to)
-        self.check_hardcore()
+            pos = FacePos(corners["C"], seg.xy_to)
+        self.place(kind, idx, pos)
         self.transcript.append(
             {
                 "segment": "face",
@@ -262,3 +257,62 @@ def monodromy(
     ev, _ = compile_braid(tc.lat, tc.cfg, word, tc.separation, variant)
     end, transcript = transport_along(tc, ConfigPath.from_evolution(ev))
     return classify(tc.frame, end, tol), transcript
+
+
+def _single_generators(cfg: DefectConfig) -> list:
+    """Every braid generator on the configuration's defects, routable or not."""
+    gens = []
+    for kind in ("primal", "dual"):
+        n = len(cfg.sites(kind))
+        for i in range(n):
+            gens.append(TorusLoop((kind, i), "horizontal"))
+            gens.append(TorusLoop((kind, i), "vertical"))
+            gens.append(ContractibleLoop((kind, i), 1))
+        for i in range(n):
+            for j in range(i + 1, n):
+                gens.append(HalfBraid((kind, i), (kind, j)))
+    for i in range(cfg.n_primal):
+        for j in range(cfg.n_dual):
+            gens.append(FullBraid(("primal", i), ("dual", j)))
+            gens.append(FullBraid(("dual", j), ("primal", i)))
+    return gens
+
+
+def flatness_probe_toric(
+    tc: ToricCode,
+    trials: int,
+    tol: float = 1e-7,
+    rng: np.random.Generator | None = None,
+) -> FlatnessReport:
+    """The two routings of a braid word must transport the frame alike, up to
+    a phase.
+
+    Words of one or two generators are drawn until ``trials`` of them route
+    under both variants (at most 50 draws per trial, else RoutingError).  For
+    each, xi is the unit phase of tr(m1^dagger m0), m_v = F^dagger F_v, and
+    the deviation is max |F_0 - xi F_1| over the transported frames.
+    """
+    rng = rng or np.random.default_rng(0)
+    candidates = _single_generators(tc.cfg)
+    worst = 0.0
+    routed = draws = 0
+    while routed < trials and draws < 50 * trials:
+        draws += 1
+        length = int(rng.integers(1, 3))
+        word = [candidates[int(rng.integers(0, len(candidates)))] for _ in range(length)]
+        try:
+            ev0, _ = compile_braid(tc.lat, tc.cfg, word, tc.separation, 0)
+            ev1, _ = compile_braid(tc.lat, tc.cfg, word, tc.separation, 1)
+        except RoutingError:
+            continue
+        routed += 1
+        f0, _ = transport_along(tc, ConfigPath.from_evolution(ev0))
+        f1, _ = transport_along(tc, ConfigPath.from_evolution(ev1))
+        m0 = tc.frame.data.conj().T @ f0.data
+        m1 = tc.frame.data.conj().T @ f1.data
+        t = np.trace(m1.conj().T @ m0)
+        xi = t / abs(t) if abs(t) > 1e-12 else 1.0
+        worst = max(worst, float(np.max(np.abs(f0.data - xi * f1.data))))
+    if routed < trials:
+        raise RoutingError("could not sample enough routable braid words")
+    return FlatnessReport(trials, worst, tol)

@@ -1,4 +1,4 @@
-"""Shared lift / compare / classify machinery for frame transport.
+"""Loop classification and flatness reports shared by both verticals.
 
 A path of unitaries acting on a base frame yields a lifted frame path; when
 the endpoint spans the starting subspace again, the loop's fibre action is
@@ -10,17 +10,15 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
 from .frames import Frame
 
 __all__ = [
-    "TransportSegment",
+    "FlatnessReport",
     "HolonomyResult",
     "NotALoopError",
-    "lift_frame",
     "classify",
     "PHASE_ONLY",
     "NONTRIVIAL_LOGICAL",
@@ -29,39 +27,22 @@ __all__ = [
 PHASE_ONLY = "phase_only"
 NONTRIVIAL_LOGICAL = "nontrivial_logical"
 
-SEGMENT_ORTHONORMALITY_TOL = 1e-12
-
 
 class NotALoopError(ValueError):
     """Endpoint span differs from the starting span."""
 
 
 @dataclass(frozen=True)
-class TransportSegment:
-    """One leg of a lift: an orthonormality-preserving map on frame data.
+class FlatnessReport:
+    """Worst phase-adjusted disagreement between homotopic loops."""
 
-    kind is a tag ("exact_pauli", "interpolated", "fibre_isometry", ...) kept
-    for transcripts; apply does the work on the raw N x K array.
-    """
+    trials: int
+    max_phase_adjusted_deviation: float
+    tol: float
 
-    kind: str
-    apply: Callable[[np.ndarray], np.ndarray]
-    label: str = ""
-
-
-def lift_frame(start: Frame, segments: Sequence[TransportSegment]) -> Frame:
-    """Apply segments in order, checking orthonormality is maintained."""
-    data = start.data
-    for seg in segments:
-        data = seg.apply(data)
-        if data.shape != (start.N, start.K):
-            raise ValueError(f"segment {seg.kind!r} broke the dimension chain")
-    g = data.conj().T @ data
-    if np.max(np.abs(g - np.eye(start.K))) > SEGMENT_ORTHONORMALITY_TOL * max(
-        1, len(segments)
-    ):
-        raise ValueError("transport lost orthonormality")
-    return Frame(data)
+    @property
+    def ok(self) -> bool:
+        return self.max_phase_adjusted_deviation < self.tol
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ import scipy.linalg
 from .codes import Code
 from .frames import Frame
 from .pauli import SIGMA, PauliString, apply_site_matrix
-from .transport import HolonomyResult, classify
+from .transport import FlatnessReport, HolonomyResult, classify
 
 __all__ = [
     "TransversalUnitary",
@@ -31,7 +31,6 @@ __all__ = [
     "exponential_path",
     "transversal_holonomy",
     "flatness_probe_transversal",
-    "FlatnessReport",
 ]
 
 UNITARY_TOL = 1e-12
@@ -318,17 +317,6 @@ def transversal_holonomy(
     """
     end = Frame(path.apply_to(code.frame.data))
     return classify(code.frame, end, tol)
-
-
-@dataclass(frozen=True)
-class FlatnessReport:
-    trials: int
-    max_phase_adjusted_deviation: float
-    tol: float
-
-    @property
-    def ok(self) -> bool:
-        return self.max_phase_adjusted_deviation < self.tol
 
 
 def _phase_adjusted_deviation(m1: np.ndarray, m2: np.ndarray) -> float:

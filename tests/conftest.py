@@ -37,6 +37,12 @@ def toric3_two_primal(lat3):
 
 
 @pytest.fixture(scope="session")
+def toric3_two_dual(lat3):
+    """Two dual defects on faces (0, 0) and (2, 2), valid at separation 1."""
+    return tt.build_code(lat3, tt.DefectConfig((), ((0, 0), (2, 2))), separation=1)
+
+
+@pytest.fixture(scope="session")
 def toric3_braidable(lat3):
     """1 braiding primal + parked partner, 1 braided dual + parked partner.
 

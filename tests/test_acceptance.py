@@ -232,21 +232,9 @@ def test_criterion_9_toric_flatness():
     tc = tt.build_code(
         lat, tt.DefectConfig(((0, 0), (0, 2)), ((1, 1), (2, 0))), separation=0
     )
-    from holoqec.cli import _random_braid_words
-
-    rng = np.random.default_rng(99)
-    words = _random_braid_words(tc, rng, 25)
-    worst = 0.0
-    for word in words:
-        ev0, _ = tt.compile_braid(lat, tc.cfg, word, tc.separation, 0)
-        ev1, _ = tt.compile_braid(lat, tc.cfg, word, tc.separation, 1)
-        f0, _ = tt.transport_along(tc, tt.ConfigPath.from_evolution(ev0))
-        f1, _ = tt.transport_along(tc, tt.ConfigPath.from_evolution(ev1))
-        m0 = tc.frame.data.conj().T @ f0.data
-        m1 = tc.frame.data.conj().T @ f1.data
-        tr = np.trace(m1.conj().T @ m0)
-        xi = tr / abs(tr) if abs(tr) > 1e-12 else 1.0
-        worst = max(worst, float(np.max(np.abs(f0.data - xi * f1.data))))
+    rep = tt.flatness_probe_toric(tc, 25, tol=1e-7, rng=np.random.default_rng(99))
+    worst = rep.max_phase_adjusted_deviation
+    assert rep.trials == 25
     assert worst < 1e-7, f"max routing deviation {worst}"
     c.done()
 

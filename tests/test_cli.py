@@ -72,10 +72,31 @@ def test_correctable_weight1(tmp_path):
     [
         ["toric", "build"],
         ["correctable", "--code", "toric:L=3", "--errors", "geolocal:s=2,t=2"],
+        ["distance", "--code", "toric:s=0", "--max-weight", "1"],
+        ["correctable", "--code", "fivequbit", "--errors", "squdit:t=1"],
+        ["correctable", "--code", "toric:L=2", "--errors", "geolocal:s=1"],
+        ["toric", "build", "--config", "{tmp}/missing.json"],
+        ["toric", "build", "--config", "{tmp}/no-L.json"],
+        ["report-merge", "{tmp}/missing.json"],
+        ["distance", "--code", "{tmp}/missing.json", "--max-weight", "1"],
+        ["transversal", "holonomy", "--gate", "stabilizer-5"],
     ],
-    ids=["toric-build-without-config", "enumeration-cap"],
+    ids=[
+        "toric-build-without-config",
+        "enumeration-cap",
+        "toric-spec-without-L",
+        "squdit-spec-without-s",
+        "geolocal-spec-without-t",
+        "toric-config-missing",
+        "toric-config-without-L",
+        "report-merge-missing",
+        "code-file-missing",
+        "stabilizer-out-of-range",
+    ],
 )
-def test_library_errors_exit_2_with_one_line(argv, capsys):
+def test_library_errors_exit_2_with_one_line(argv, tmp_path, capsys):
+    (tmp_path / "no-L.json").write_text(json.dumps({"s": 0, "primal": [], "dual": []}))
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -11,7 +11,6 @@ from holoqec.pauli import (
     apply_pauli,
     beta,
     interp_matrix,
-    interp_unitary_apply,
     pauli_mul,
 )
 
@@ -173,22 +172,6 @@ def test_interp_unitary_and_reverse_identity():
             v = interp_matrix(letter, t, "reverse")
             assert np.allclose(v, interp_matrix(letter, 1 - t) @ SIGMA[letter])
             assert np.isclose(abs(alpha(t)) ** 2 + abs(beta(t)) ** 2, 1.0)
-
-
-def test_interp_apply_on_register(rng):
-    n = 3
-    v = rng.normal(size=8) + 1j * rng.normal(size=8)
-    for site in range(n):
-        for direction in ("forward", "reverse"):
-            for t in (0.0, 0.3, 1.0):
-                got = interp_unitary_apply("Z", site, t, direction, v, n)
-                dense = np.eye(1)
-                for j in reversed(range(n)):
-                    factor = interp_matrix("Z", t, direction) if j == site else np.eye(2)
-                    dense = np.kron(dense, factor)
-                assert np.max(np.abs(got - dense @ v)) < 1e-12
-    with pytest.raises(ValueError):
-        interp_unitary_apply("Z", 0, 1.5, "forward", v, n)
 
 
 def test_local_operator_matches_dense(rng):

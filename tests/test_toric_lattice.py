@@ -51,7 +51,7 @@ def test_every_face_looks_the_same():
 def test_dual_crossing_is_shared_edge():
     lat = TorusLattice(3)
     for e in lat.edges():
-        f1, f2 = lat.dual_edge_endpoints(e)
+        f1, f2 = lat.edge_endpoints(e)  # the faces a dual edge joins
         crossing = lat.dual_crossing_qubit(e)
         assert crossing in lat.face_boundary(f1)
         assert crossing in lat.face_boundary(f2)
@@ -79,6 +79,18 @@ def test_defect_config_parity_and_duplicates():
     with pytest.raises(ValueError):
         DefectConfig(((0, 0), (0, 0)), ())
     DefectConfig(((0, 0), (1, 1)), ())
+
+
+def test_defect_config_sites_and_move():
+    cfg = DefectConfig(((0, 0), (1, 1)), ((0, 0), (2, 2)))
+    assert cfg.sites("primal") == ((0, 0), (1, 1))
+    assert cfg.sites("dual") == ((0, 0), (2, 2))
+    assert cfg.move("dual", 1, (2, 0)) == DefectConfig(cfg.primal, ((0, 0), (2, 0)))
+    assert cfg.move("primal", 0, (2, 2)) == DefectConfig(((2, 2), (1, 1)), cfg.dual)
+    with pytest.raises(ValueError):
+        cfg.move("primal", 0, (1, 1))  # onto the other primal defect
+    with pytest.raises(ValueError):
+        cfg.sites("vertex")
 
 
 def test_hardcore_distance_three_pair_passes():

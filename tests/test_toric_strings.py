@@ -128,16 +128,11 @@ def test_endpoint_consistency_random_evolutions(toric3_swap, rng):
         ok = True
         for _ in range(int(rng.integers(1, 6))):
             kind = "primal" if rng.integers(0, 2) == 0 else "dual"
-            sites = cur.cfg.primal if kind == "primal" else cur.cfg.dual
+            sites = cur.cfg.sites(kind)
             src = sites[int(rng.integers(0, len(sites)))]
             dx, dy = ((1, 0), (-1, 0), (0, 1), (0, -1))[int(rng.integers(0, 4))]
             dst = ((src[0] + dx) % lat.L, (src[1] + dy) % lat.L)
-            edge = (
-                lat.connecting_edge(src, dst)
-                if kind == "primal"
-                else lat.dual_connecting_edge(src, dst)
-            )
-            step = Step(kind, edge)
+            step = Step(kind, lat.connecting_edge(src, dst))
             rep = validate_evolution(lat, cur.cfg, StringEvolution((step,)), tc.separation)
             if not rep.valid:
                 ok = False

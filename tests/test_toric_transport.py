@@ -17,6 +17,8 @@ from holoqec.toric import (
     TorusLoop,
     TransportError,
     compile_braid,
+    edge_code,
+    face_code,
     monodromy,
     transport_along,
 )
@@ -129,6 +131,26 @@ def test_face_exit_onto_edge_then_slide(toric3_two_primal):
         ),
     )
     assert np.max(np.abs(via_face.data - tc.frame.data)) < 1e-11
+
+
+@pytest.mark.parametrize("t", [0.3, 0.7])
+def test_dual_slide_equals_edge_code(toric3_two_dual, t):
+    tc = toric3_two_dual
+    e = Edge(0, 0, "h")  # dual edge from face (0, 0) to face (1, 0)
+    out, _ = transport_along(tc, ConfigPath((EdgeSlide("dual", e, 0.0, t),)))
+    assert np.array_equal(out.data, edge_code(tc, "dual", e, t).data)
+
+
+@pytest.mark.parametrize(
+    "face, corner", [((1, 1), (0.0, 0.0)), ((1, 0), (0.0, 1.0))], ids=["from-C", "from-A"]
+)
+def test_dual_face_move_equals_face_code(toric3_two_dual, face, corner):
+    """The dual face centered on a primal vertex has the defect's face (0, 0)
+    at corner C for vertex (1, 1) and at corner A for vertex (1, 0)."""
+    tc = toric3_two_dual
+    xy = (0.3, 0.6)
+    out, _ = transport_along(tc, ConfigPath((FaceMove("dual", face, corner, xy),)))
+    assert np.array_equal(out.data, face_code(tc, "dual", face, xy).data)
 
 
 def test_transport_rejects_illegal_hop(toric3_two_primal):

@@ -1,52 +1,9 @@
 import numpy as np
 import pytest
 
-from holoqec import (
-    Frame,
-    NotALoopError,
-    PauliString,
-    TransportSegment,
-    classify,
-    lift_frame,
-    orthonormalize,
-)
-from holoqec.pauli import apply_pauli, random_unitary
+from holoqec import Frame, NotALoopError, PauliString, classify, orthonormalize
+from holoqec.pauli import apply_pauli, pauli_mul, random_unitary
 from holoqec.transport import NONTRIVIAL_LOGICAL, PHASE_ONLY
-
-
-def pauli_segment(p):
-    return TransportSegment("exact_pauli", lambda d: apply_pauli(p, d), p.to_label())
-
-
-def test_empty_lift_is_identity(rng):
-    f = orthonormalize([rng.normal(size=8) + 1j * rng.normal(size=8) for _ in range(2)])
-    assert np.array_equal(lift_frame(f, []).data, f.data)
-
-
-def test_single_pauli_segment():
-    f = Frame(np.eye(2, dtype=complex)[:, :1])
-    out = lift_frame(f, [pauli_segment(PauliString.from_label("X"))])
-    assert np.allclose(out.data[:, 0], [0, 1])
-
-
-def test_chain_matches_dense_product(rng):
-    n = 3
-    f = orthonormalize([rng.normal(size=8) + 1j * rng.normal(size=8) for _ in range(2)])
-    paulis = []
-    for _ in range(5):
-        paulis.append(
-            PauliString(
-                n,
-                int(rng.integers(0, 8)),
-                int(rng.integers(0, 8)),
-                int(rng.integers(0, 4)),
-            )
-        )
-    out = lift_frame(f, [pauli_segment(p) for p in paulis])
-    dense = np.eye(8, dtype=complex)
-    for p in paulis:
-        dense = p.to_dense() @ dense
-    assert np.max(np.abs(out.data - dense @ f.data)) < 1e-11
 
 
 def test_classify_identity_and_phase(rng):
@@ -85,18 +42,18 @@ def test_phase_classification_stable_under_frame_change(rng):
 
 
 def test_functoriality_of_composition(rng):
-    """Lifting composes segment-wise; for span-preserving segments the
-    logical actions multiply."""
+    """Applying two Paulis in turn equals applying their product; for
+    span-preserving Paulis the logical actions multiply."""
     # span{|00>, |11>}: preserved by XX and ZZ
     f = orthonormalize(
         [np.eye(4, dtype=complex)[:, 0], np.eye(4, dtype=complex)[:, 3]]
     )
     p1 = PauliString.from_label("XX")
     p2 = PauliString.from_label("ZZ")
-    mid = lift_frame(f, [pauli_segment(p1)])
-    end = lift_frame(mid, [pauli_segment(p2)])
-    direct = lift_frame(f, [pauli_segment(p1), pauli_segment(p2)])
-    assert np.max(np.abs(end.data - direct.data)) < 1e-10
+    mid = Frame(apply_pauli(p1, f.data))
+    end = Frame(apply_pauli(p2, mid.data))
+    direct = apply_pauli(pauli_mul(p2, p1), f.data)
+    assert np.max(np.abs(end.data - direct)) < 1e-10
     m_total = classify(f, end).logical
     m1 = f.data.conj().T @ mid.data     # logical X
     m2 = f.data.conj().T @ apply_pauli(p2, f.data)  # logical Z
