@@ -29,10 +29,10 @@ from .errors import (
 )
 from .fivequbit import R3, five_qubit_code, logical_x, logical_z, stabilizer_generators
 from .frames import (
+    DenseSizeError,
     EmptySpanError,
     Frame,
     orthonormalize,
-    principal_angles,
     principal_overlap,
     subspace_distance,
     subspace_equal,

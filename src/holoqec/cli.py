@@ -285,6 +285,12 @@ def cmd_transversal(args) -> int:
     return 0 if ok else 1
 
 
+def _defect_ref(op: str, r) -> tuple[str, int]:
+    if not isinstance(r, list) or len(r) != 2:
+        raise ValueError(f"braid op {op!r}: defect reference {r!r} is not [kind, index]")
+    return r[0], int(r[1])
+
+
 def _load_toric_config(path: str):
     doc = json.loads(Path(path).read_text())
     if "L" not in doc:
@@ -298,7 +304,9 @@ def _load_toric_config(path: str):
     word = []
     for item in doc.get("braid", []):
         op, a = item["op"], item["args"]
-        ref = lambda r: (r[0], int(r[1]))
+        if len(a) != 2:
+            raise ValueError(f"braid op {op!r} needs 2 args, got {len(a)}")
+        ref = lambda r: _defect_ref(op, r)
         if op == "TorusLoop":
             word.append(tt.TorusLoop(ref(a[0]), a[1]))
         elif op == "FullBraid":
@@ -463,6 +471,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (tt.RoutingError, ValueError, EnumerationCapError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: {args.verb}: out of memory ({exc})", file=sys.stderr)
         return 2
 
 

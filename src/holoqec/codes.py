@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import _paulis_on_support, squdit_errors
-from .frames import Frame
+from .frames import Frame, check_dense_size
 from .pauli import LocalOperator, PauliString, apply_pauli
 
 __all__ = [
@@ -117,32 +117,32 @@ def _apply_operator(op, arr: np.ndarray) -> np.ndarray:
     raise TypeError(f"cannot apply operator of type {type(op)!r}")
 
 
-def _frame_support(f: Frame, cutoff: float = 1e-13) -> np.ndarray:
-    """Row indices where the frame has any weight; exact for stabilizer frames."""
-    return np.flatnonzero(np.any(np.abs(f.data) > cutoff, axis=1))
-
-
 class _PauliBlocks:
-    """B = F^dagger P F restricted to the frame support (exact).
+    """B = F^dagger P F over the frame's support rows (exact).
 
     B[i,j] = sum_m conj(F[m,i]) * i^k (-1)^{popcount((m^x)&z)} F[m^x, j],
-    and only rows m in the support contribute.  The support, its rows of F
-    and their conjugate transpose are fixed per frame and built once.
+    and only rows m in the support contribute.  F[m^x] is gathered through
+    an int32 map from row index to block position, in which rows off the
+    support point at one padded zero row.  The map, the padded block and
+    its conjugate transpose are fixed per frame and built once.
     """
 
     def __init__(self, frame: Frame):
-        self.fdata = frame.data
-        self.sup = _frame_support(frame)
-        self.rows = frame.data[self.sup]
-        self.left = self.rows.conj().T
+        check_dense_size(4 * frame.N, "the row-position map of a frame")
+        r = frame.rows.size
+        self.rows, self.vals = frame.rows, frame.vals
+        self.pos = np.full(frame.N, r, dtype=np.int32)
+        self.pos[frame.rows] = np.arange(r, dtype=np.int32)
+        self.padded = np.vstack([frame.vals, np.zeros((1, frame.K), dtype=complex)])
+        self.left = frame.vals.conj().T
         self.eye = np.eye(frame.K)
 
     def __call__(self, p: PauliString) -> np.ndarray:
         if p.x_bits == 0:
-            src, right = self.sup, self.rows
+            src, right = self.rows, self.vals
         else:
-            src = np.bitwise_xor(self.sup, p.x_bits)
-            right = self.fdata.take(src, axis=0)
+            src = np.bitwise_xor(self.rows, p.x_bits)
+            right = self.padded.take(self.pos.take(src), axis=0)
         if p.z_bits:
             par = np.bitwise_count(np.bitwise_and(src, p.z_bits)).astype(np.int64) & 1
             right = right * (1.0 - 2.0 * par)[:, None]
@@ -167,7 +167,9 @@ def correction_condition(code: Code, errors, tol: float = 1e-9) -> CorrectionRep
 
     Memory grows with the scan: each row a of f is one vector of m complex
     values (16 m bytes), allocated when the scan reaches that row, so a
-    failing set costs memory only for the rows it has reached.  The m x m
+    failing set costs memory only for the rows it has reached.  A set with
+    any non-Pauli error first holds m dense N x K images E_a F, and raises
+    DenseSizeError when those would pass the dense bound.  The m x m
     ``f_matrix`` (16 m^2 bytes, briefly twice that while its rows are
     stacked) is built only when every pair has passed.
     """
@@ -184,6 +186,9 @@ def correction_condition(code: Code, errors, tol: float = 1e-9) -> CorrectionRep
 
     else:
         # mixed / non-Pauli operators: precompute G_a = E_a F densely
+        check_dense_size(
+            16 * m * code.N * code.K, f"the dense images E_a F of {m} errors in a non-Pauli set"
+        )
         gs = [_apply_operator(e, code.frame.data) for e in errs]
 
         def row_blocks(a):

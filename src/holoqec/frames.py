@@ -2,69 +2,141 @@
 
 A Frame is an N x K complex matrix with orthonormal columns: an ordered basis
 of a K-dimensional subspace, i.e. an encoding of a K-dimensional logical space
-into an N-dimensional physical space.  Subspaces are compared through the
-singular values of the frame overlap (cosines of the principal angles).
+into an N-dimensional physical space.  It is stored on its support rows: the
+sorted indices of the rows with a non-zero entry, and the R x K block of
+those rows.  A dense frame is the case rows = arange(N); a toric codeword is
+uniform over a coset of the vertex group, so an L = 3 toric frame keeps 1 024
+of its 2^18 rows.  Subspaces are compared through the singular values of the
+frame overlap (cosines of the principal angles).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 __all__ = [
+    "DENSE_BYTES_LIMIT",
+    "DenseSizeError",
     "Frame",
+    "check_dense_size",
+    "common_rows",
     "orthonormalize",
     "principal_overlap",
-    "principal_angles",
     "subspace_equal",
     "subspace_distance",
     "EmptySpanError",
 ]
 
 ORTHONORMALITY_TOL = 1e-10
+DENSE_BYTES_LIMIT = 256 * 2**20
 
 
 class EmptySpanError(ValueError):
     """All input vectors were dropped as numerically dependent."""
 
 
-@dataclass(frozen=True)
+class DenseSizeError(ValueError):
+    """An array indexed by the full N-row space would exceed DENSE_BYTES_LIMIT."""
+
+
+def check_dense_size(nbytes: int, what: str) -> None:
+    """Raise DenseSizeError, before allocating, when ``what`` needs too many bytes."""
+    if nbytes > DENSE_BYTES_LIMIT:
+        raise DenseSizeError(
+            f"{what} needs {nbytes} bytes, over the {DENSE_BYTES_LIMIT}-byte bound"
+        )
+
+
 class Frame:
-    """N x K complex matrix with orthonormal columns."""
+    """N x K complex matrix with orthonormal columns, stored on its support rows.
 
-    data: np.ndarray = field(repr=False)
+    ``Frame(dense)`` keeps the rows of ``dense`` with any non-zero entry;
+    ``Frame.from_rows(N, rows, vals)`` builds one from sorted distinct rows and
+    their R x K values.  Both check orthonormality on the stored block.
+    """
 
-    def __post_init__(self):
-        a = np.asarray(self.data, dtype=complex)
+    __slots__ = ("N", "rows", "vals")
+
+    def __init__(self, data):
+        a = np.asarray(data, dtype=complex)
         if a.ndim != 2:
             raise ValueError("frame data must be a 2-d array")
-        n, k = a.shape
+        self._set(a.shape[0], np.arange(a.shape[0]), a)
+
+    @classmethod
+    def from_rows(cls, N: int, rows, vals) -> "Frame":
+        """The frame whose row ``rows[i]`` is ``vals[i]`` and whose other rows are 0."""
+        f = cls.__new__(cls)
+        f._set(int(N), np.asarray(rows, dtype=np.int64), np.asarray(vals, dtype=complex))
+        return f
+
+    @classmethod
+    def _unchecked(cls, N: int, rows: np.ndarray, vals: np.ndarray) -> "Frame":
+        """Wrap a block known to be a valid frame, e.g. a unitary image of one."""
+        f = cls.__new__(cls)
+        f._store(N, rows, vals)
+        return f
+
+    def _set(self, n: int, rows: np.ndarray, vals: np.ndarray) -> None:
+        if vals.ndim != 2 or rows.shape != vals.shape[:1]:
+            raise ValueError("need one row index per row of an R x K block")
+        k = vals.shape[1]
         if not 1 <= k <= n:
             raise ValueError(f"need 1 <= K <= N, got K={k}, N={n}")
-        g = a.conj().T @ a
+        if rows.size and (rows[0] < 0 or rows[-1] >= n or np.any(rows[1:] <= rows[:-1])):
+            raise ValueError("row indices must be sorted, distinct and in range(N)")
+        g = vals.conj().T @ vals
         err = np.max(np.abs(g - np.eye(k)))
         if err >= ORTHONORMALITY_TOL:
             raise ValueError(f"columns not orthonormal (max deviation {err:.3e})")
-        a = a.copy()
-        a.setflags(write=False)
-        object.__setattr__(self, "data", a)
+        keep = np.any(vals != 0, axis=1)
+        self._store(n, rows[keep], vals[keep])
 
-    @property
-    def N(self) -> int:
-        return self.data.shape[0]
+    def _store(self, n: int, rows: np.ndarray, vals: np.ndarray) -> None:
+        rows.setflags(write=False)
+        vals.setflags(write=False)
+        self.N, self.rows, self.vals = n, rows, vals
 
     @property
     def K(self) -> int:
-        return self.data.shape[1]
+        return self.vals.shape[1]
 
-    def matmul_logical(self, m: np.ndarray) -> "Frame":
-        """Right-multiply by a K x K unitary: same span, new column basis."""
-        return Frame(self.data @ m)
+    @property
+    def data(self) -> np.ndarray:
+        """The dense N x K matrix, read-only; built on access unless every row is stored."""
+        if self.rows.size == self.N:
+            return self.vals
+        check_dense_size(16 * self.N * self.K, "the dense view of a frame")
+        out = np.zeros((self.N, self.K), dtype=complex)
+        out[self.rows] = self.vals
+        out.setflags(write=False)
+        return out
 
     def projector(self) -> np.ndarray:
         """Dense rank-K projector F F^dagger.  Small-N diagnostics only."""
         return self.data @ self.data.conj().T
+
+    def __repr__(self) -> str:
+        return f"Frame(N={self.N}, K={self.K}, rows={self.rows.size})"
+
+
+def common_rows(*frames: Frame) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The union of the frames' support rows, and each frame's block on it.
+
+    Rows a frame does not store are zero in its block.  Frames on the same
+    rows come back as their stored blocks.
+    """
+    rows = frames[0].rows
+    if all(f.rows is rows or np.array_equal(f.rows, rows) for f in frames[1:]):
+        return rows, [f.vals for f in frames]
+    rows = np.sort(np.concatenate([f.rows for f in frames]))
+    rows = rows[np.concatenate(([True], rows[1:] != rows[:-1]))]
+    blocks = []
+    for f in frames:
+        b = np.zeros((rows.size, f.K), dtype=complex)
+        b[np.searchsorted(rows, f.rows)] = f.vals
+        blocks.append(b)
+    return rows, blocks
 
 
 def orthonormalize(vectors, tol: float = 1e-10) -> Frame:
@@ -100,12 +172,8 @@ def principal_overlap(f1: Frame, f2: Frame) -> np.ndarray:
         raise ValueError(
             f"frame dimensions differ: ({f1.N},{f1.K}) vs ({f2.N},{f2.K})"
         )
-    return f1.data.conj().T @ f2.data
-
-
-def principal_angles(f1: Frame, f2: Frame) -> np.ndarray:
-    s = np.linalg.svd(principal_overlap(f1, f2), compute_uv=False)
-    return np.arccos(np.clip(s, 0.0, 1.0))
+    _, (a, b) = common_rows(f1, f2)
+    return a.conj().T @ b
 
 
 def subspace_equal(f1: Frame, f2: Frame, tol: float = 1e-9) -> bool:

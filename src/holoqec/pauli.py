@@ -3,7 +3,9 @@
 Operators are kept in symplectic form: two bit masks (x_bits, z_bits) plus an
 integer power of i, so products and phases are exact.  Dense matrices are only
 ever built for small oracles; application to state vectors and frames is a
-bit-indexed permutation with signs.
+bit-indexed permutation with signs.  A dense array is permuted on its
+qubit-tensor view; a Frame, stored on its support rows, has its row indices
+permuted instead.
 
 Conventions
 -----------
@@ -21,6 +23,8 @@ from functools import reduce
 from typing import Sequence
 
 import numpy as np
+
+from .frames import Frame
 
 __all__ = [
     "PauliString",
@@ -169,17 +173,22 @@ def pauli_mul(p: PauliString, q: PauliString) -> PauliString:
     )
 
 
-def apply_pauli(p: PauliString, v: np.ndarray) -> np.ndarray:
-    """Apply ``p`` to a state vector (N,) or frame (N, K) without densifying.
+def apply_pauli(p: PauliString, v):
+    """Apply ``p`` to a state vector (N,), a dense frame (N, K) or a Frame.
 
-    (P v)[m] = i^k (-1)^{popcount((m ^ x) & z)} v[m ^ x], computed on the
-    qubit-tensor view (2,)*n + trailing, site j on axis n-1-j: one copy with
-    the X axes flipped, then per Z bit a negated half, the one where
-    (m ^ x)_j = 1.  A nonzero phase makes that copy complex.  Values equal
-    the formula exactly; only the signs of zeros may differ.
+    (P v)[m] = i^k (-1)^{popcount((m ^ x) & z)} v[m ^ x].  A Frame keeps its
+    support: row r moves to r ^ x with the sign (-1)^{popcount(r & z)}.
+    A dense array is computed on the qubit-tensor view (2,)*n + trailing,
+    site j on axis n-1-j: one copy with the X axes flipped, then per Z bit a
+    negated half, the one where (m ^ x)_j = 1.  A nonzero phase makes that
+    copy complex.  Values equal the formula exactly; only the signs of zeros
+    may differ.
     """
-    if v.shape[0] != 1 << p.n:
-        raise ValueError(f"dimension mismatch: state has {v.shape[0]}, Pauli needs {1 << p.n}")
+    N = v.N if isinstance(v, Frame) else v.shape[0]
+    if N != 1 << p.n:
+        raise ValueError(f"dimension mismatch: state has {N}, Pauli needs {1 << p.n}")
+    if isinstance(v, Frame):
+        return _apply_pauli_rows(p, v)
     flips = tuple(p.n - 1 - j for j in range(p.n) if (p.x_bits >> j) & 1)
     dtype = np.result_type(v.dtype, np.complex128) if p.phase_exp else v.dtype
     out = np.array(np.flip(v.reshape((2,) * p.n + v.shape[1:]), flips), dtype=dtype, order="C")
@@ -192,6 +201,23 @@ def apply_pauli(p: PauliString, v: np.ndarray) -> np.ndarray:
     if p.phase_exp:
         np.multiply(out, p.phase, out=out)
     return out.reshape(v.shape)
+
+
+def _apply_pauli_rows(p: PauliString, f: Frame) -> Frame:
+    """XOR the support rows with x, sign them by popcount(r & z), re-sort."""
+    rows, vals = f.rows, f.vals
+    if p.z_bits:
+        par = np.bitwise_count(rows & p.z_bits) & 1
+        vals = vals * (1.0 - 2.0 * par)[:, None]
+    if p.phase_exp:
+        vals = vals * p.phase
+    if p.x_bits:
+        rows = rows ^ p.x_bits
+        order = np.argsort(rows)
+        rows, vals = rows[order], vals[order]
+    if vals is f.vals:
+        return f
+    return Frame._unchecked(f.N, rows, vals)
 
 
 # -- single-qubit interpolating unitaries -----------------------------------

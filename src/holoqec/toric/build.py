@@ -1,10 +1,13 @@
-"""Toric codespaces with defects, built by projector products on seed states.
+"""Toric codespaces with defects, built on the vertex group from seed states.
 
 The joint eigenspace (A_v = +-1, B_f = +-1 with flipped signs at defects) is
 constructed by (i) choosing four computational seed strings satisfying all
-diagonal face constraints, one per homology class, and (ii) applying the
-vertex projectors (1 + eps_v A_v)/2.  This is exact for commuting Paulis and
-never diagonalizes anything.
+diagonal face constraints, one per homology class, and (ii) projecting each
+with the vertex projectors (1 + eps_v A_v)/2.  The projected seed b is
+uniform over its coset b ^ G of the vertex group G: the basis state b ^ g,
+g the X-support of the star product over a vertex set S, carries the sign
+prod_{v in S} eps_v and the amplitude 1/sqrt|G|.  The build enumerates G
+directly, so it is exact and touches only the 4 |G| support rows.
 """
 
 from __future__ import annotations
@@ -14,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..codes import Code
-from ..frames import Frame, orthonormalize
-from ..pauli import PauliString, apply_pauli
+from ..frames import Frame, check_dense_size
 from .lattice import (
     DEFAULT_SEPARATION,
     DefectConfig,
@@ -128,9 +130,6 @@ def build_code(
             f"{hc.violating_pair} at distance {hc.min_distance}"
         )
 
-    n = lat.n_edges
-    if n > 18:
-        raise ValueError("dense construction capped at 18 qubits (L <= 3)")
     b0 = _dual_pairing_string(lat, cfg)
     row, col = _homology_shifts(lat)
     seeds = [b0, b0 ^ row, b0 ^ col, b0 ^ row ^ col]
@@ -142,16 +141,24 @@ def build_code(
             if flux != (1 if f in dual_set else 0):
                 raise AssertionError("seed violates a face constraint")
 
-    arr = np.zeros((1 << n, 4), dtype=complex)
-    for k, b in enumerate(seeds):
-        arr[b, k] = 1.0
-
+    # the star product over all vertices is 1, so any L^2 - 1 stars generate G
+    verts = list(lat.vertices())[:-1]
+    size = 1 << len(verts)
+    check_dense_size(len(seeds) * size * (8 + 16 * len(seeds)), "the support rows of a toric code")
+    group = np.zeros(1, dtype=np.int64)
+    signs = np.ones(1)
     primal_set = set(cfg.primal)
-    for v in lat.vertices():
+    for v in verts:
         eps = -1.0 if v in primal_set else 1.0
-        arr = 0.5 * (arr + eps * apply_pauli(PauliString(n, vertex_mask(lat, v), 0), arr))
+        group = np.concatenate([group, group ^ vertex_mask(lat, v)])
+        signs = np.concatenate([signs, eps * signs])
 
-    frame = orthonormalize(arr.T)  # columns are already orthogonal; normalize
-    if frame.K != 4:
+    rows = np.concatenate([b ^ group for b in seeds])
+    vals = np.zeros((rows.size, len(seeds)), dtype=complex)
+    for k in range(len(seeds)):
+        vals[k * size : (k + 1) * size, k] = signs / np.sqrt(size)
+    order = np.argsort(rows)
+    if np.any(np.diff(rows[order]) == 0):
         raise AssertionError("toric construction must yield K = 4")
-    return ToricCode(lat, cfg, separation, Code(frame, (2,) * n))
+    frame = Frame.from_rows(1 << lat.n_edges, rows[order], vals[order])
+    return ToricCode(lat, cfg, separation, Code(frame, (2,) * lat.n_edges))

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..frames import Frame, subspace_distance
-from ..pauli import PauliString, alpha, beta, interp_matrix, pauli_mul
+from ..frames import Frame, common_rows, subspace_distance
+from ..pauli import PauliString, alpha, apply_pauli, beta, interp_matrix, pauli_mul
 from .build import ToricCode, build_code
 from .lattice import DefectConfig, Edge, TorusLattice, hardcore_check
 from .strings import Step, step_pauli
@@ -29,6 +29,7 @@ __all__ = [
     "face_code",
     "corner_frames",
     "combine_corner_frames",
+    "slide_frame",
     "det_winding_check",
     "FaceEntryError",
     "face_corner_coords",
@@ -112,9 +113,7 @@ def _moving_defect(lat: TorusLattice, tc: ToricCode, kind: str, corners) -> tupl
     return hits[0]
 
 
-def corner_frames(
-    tc: ToricCode, kind: str, face
-) -> tuple[dict[str, np.ndarray], int]:
+def corner_frames(tc: ToricCode, kind: str, face) -> tuple[dict[str, Frame], int]:
     """Exactly corresponding frames at the four corners, based at A.
 
     psi_B = P_AB psi_A, psi_C = P_CA psi_A, psi_D = P_CD P_CA psi_A; the two
@@ -142,30 +141,39 @@ def corner_frames(
         "B": p_ab,
         "D": pauli_mul(p_ca, p_cd),
     }
-    f_a = to_a[start_lbl].apply(tc.frame.data)
+    f_a = apply_pauli(to_a[start_lbl], tc.frame)
     frames = {
         "A": f_a,
-        "B": p_ab.apply(f_a),
-        "C": p_ca.apply(f_a),
-        "D": pauli_mul(p_cd, p_ca).apply(f_a),
+        "B": apply_pauli(p_ab, f_a),
+        "C": apply_pauli(p_ca, f_a),
+        "D": apply_pauli(pauli_mul(p_cd, p_ca), f_a),
     }
     return frames, idx
 
 
-def combine_corner_frames(
-    frames: dict[str, np.ndarray], x: float, y: float
-) -> np.ndarray:
+def combine_corner_frames(frames: dict[str, Frame], x: float, y: float) -> Frame:
+    """The in-face frame at (x, y) from the corner frames, on their common rows."""
     if x + y <= 1.0:
         a, c, d = lower_coeffs(x, y)
-        return a * frames["A"] + c * frames["C"] + d * frames["D"]
-    a, b, d = upper_coeffs(x, y)
-    return a * frames["A"] + b * frames["B"] + d * frames["D"]
+        rows, (fa, fc, fd) = common_rows(frames["A"], frames["C"], frames["D"])
+        vals = a * fa + c * fc + d * fd
+    else:
+        a, b, d = upper_coeffs(x, y)
+        rows, (fa, fb, fd) = common_rows(frames["A"], frames["B"], frames["D"])
+        vals = a * fa + b * fb + d * fd
+    return Frame.from_rows(frames["A"].N, rows, vals)
 
 
 def face_code(tc: ToricCode, kind: str, face, xy: tuple[float, float]) -> Frame:
     """Code with the moving defect at in-face position (x, y)."""
     frames, _ = corner_frames(tc, kind, face)
-    return Frame(combine_corner_frames(frames, *xy))
+    return combine_corner_frames(frames, *xy)
+
+
+def slide_frame(f: Frame, sigma: PauliString, t: float) -> Frame:
+    """alpha(t) F + beta(t) sigma F: F moved a parameter t along sigma's edge."""
+    rows, (u, v) = common_rows(f, apply_pauli(sigma, f))
+    return Frame.from_rows(f.N, rows, alpha(t) * u + beta(t) * v)
 
 
 def edge_code(tc: ToricCode, kind: str, edge: Edge, t: float) -> Frame:
@@ -192,9 +200,8 @@ def edge_code(tc: ToricCode, kind: str, edge: Edge, t: float) -> Frame:
             raise ValueError(f"edge endpoint {dest} is already occupied") from exc
         if not hardcore_check(lat, moved, tc.separation).ok:
             raise ValueError(f"endpoint {dest} violates the hard-core condition")
-    f = tc.frame.data
-    f_start = f if at_a else sigma.apply(f)
-    return Frame(alpha(t) * f_start + beta(t) * sigma.apply(f_start))
+    f_start = tc.frame if at_a else apply_pauli(sigma, tc.frame)
+    return slide_frame(f_start, sigma, t)
 
 
 def edge_overlap_modulus(t: float, tp: float) -> float:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..pauli import PauliString, pauli_mul
+from ..pauli import PauliString, apply_pauli, pauli_mul
 from .build import ToricCode
 from .lattice import DefectConfig, Edge, TorusLattice, hardcore_check
 
@@ -134,7 +134,4 @@ def apply_string(tc: ToricCode, ev: StringEvolution) -> tuple[ToricCode, PauliSt
             raise InvalidEvolutionError(f"step {i}: {status}: {detail}")
         total = pauli_mul(step_pauli(lat, step), total)
         cur = nxt
-    from ..frames import Frame
-
-    new_frame = Frame(total.apply(tc.frame.data))
-    return tc.with_frame(new_frame, cur), total
+    return tc.with_frame(apply_pauli(total, tc.frame), cur), total

@@ -15,8 +15,8 @@ from typing import Union
 
 import numpy as np
 
-from ..frames import Frame
-from ..pauli import PauliString, alpha, beta, pauli_mul
+from ..frames import Frame, common_rows, principal_overlap
+from ..pauli import PauliString, apply_pauli, pauli_mul
 from ..transport import FlatnessReport, HolonomyResult, classify
 from .braid import (
     BraidWord,
@@ -28,7 +28,7 @@ from .braid import (
     compile_braid,
 )
 from .build import ToricCode
-from .interp import combine_corner_frames, corner_frames, face_corner_coords
+from .interp import combine_corner_frames, corner_frames, face_corner_coords, slide_frame
 from .lattice import (
     DefectConfig,
     Edge,
@@ -92,13 +92,13 @@ class ConfigPath:
 
 
 class _State:
-    """Mutable transport state: positions, frame data, live face context."""
+    """Mutable transport state: positions, frame, live face context."""
 
     def __init__(self, tc: ToricCode):
         self.tc = tc
         self.lat = tc.lat
         self.cfg = tc.cfg.to_continuous()
-        self.fdata = tc.frame.data
+        self.frame = tc.frame
         self.pending = PauliString.identity(tc.n)  # hops not yet applied
         self.face_ctx: tuple[str, tuple[int, int], dict, int] | None = None
         self.transcript: list[dict] = []
@@ -123,7 +123,7 @@ class _State:
     def flush(self) -> None:
         """Apply the pending hops' exact product to the frame, in one pass."""
         if self.pending != PauliString.identity(self.tc.n):
-            self.fdata = self.pending.apply(self.fdata)
+            self.frame = apply_pauli(self.pending, self.frame)
             self.pending = PauliString.identity(self.tc.n)
 
     # -- segment handlers ----------------------------------------------------
@@ -159,7 +159,7 @@ class _State:
         sigma = step_pauli(self.lat, Step(seg.kind, seg.edge))
         delta = seg.t_to - seg.t_from
         # U(t1) U(t0)^dagger = exp(i (t1 - t0) H) = alpha(d) 1 + beta(d) sigma
-        self.fdata = alpha(delta) * self.fdata + beta(delta) * sigma.apply(self.fdata)
+        self.frame = slide_frame(self.frame, sigma, delta)
         ends = self.lat.edge_endpoints(seg.edge)
         pos = (
             VertexPos(ends[0 if seg.t_to == 0.0 else 1])
@@ -182,7 +182,7 @@ class _State:
         if lbl is None:
             raise TransportError("face entry must start at a corner")
         cfg = self.discrete_cfg()
-        tc_here = self.tc.with_frame(Frame(self.fdata), cfg)
+        tc_here = self.tc.with_frame(self.frame, cfg)
         frames, idx = corner_frames(tc_here, seg.kind, seg.face)
         self.face_ctx = (seg.kind, seg.face, frames, idx)
 
@@ -192,7 +192,7 @@ class _State:
             self._enter_face(seg)
         kind, face, frames, idx = self.face_ctx
         x, y = seg.xy_to
-        self.fdata = combine_corner_frames(frames, x, y)
+        self.frame = combine_corner_frames(frames, x, y)
         corner_xy = {v: k for k, v in face_corner_coords().items()}
         from .interp import _face_corners  # corner label -> lattice site
 
@@ -244,7 +244,7 @@ def transport_along(tc: ToricCode, path: ConfigPath) -> tuple[Frame, list[dict]]
         else:
             raise TypeError(f"unknown segment {seg!r}")
     st.flush()
-    return Frame(st.fdata), st.transcript
+    return st.frame, st.transcript
 
 
 def monodromy(
@@ -308,11 +308,12 @@ def flatness_probe_toric(
         routed += 1
         f0, _ = transport_along(tc, ConfigPath.from_evolution(ev0))
         f1, _ = transport_along(tc, ConfigPath.from_evolution(ev1))
-        m0 = tc.frame.data.conj().T @ f0.data
-        m1 = tc.frame.data.conj().T @ f1.data
+        m0 = principal_overlap(tc.frame, f0)
+        m1 = principal_overlap(tc.frame, f1)
         t = np.trace(m1.conj().T @ m0)
         xi = t / abs(t) if abs(t) > 1e-12 else 1.0
-        worst = max(worst, float(np.max(np.abs(f0.data - xi * f1.data))))
+        _, (b0, b1) = common_rows(f0, f1)
+        worst = max(worst, float(np.max(np.abs(b0 - xi * b1))))
     if routed < trials:
         raise RoutingError("could not sample enough routable braid words")
     return FlatnessReport(trials, worst, tol)

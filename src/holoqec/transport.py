@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import Frame
+from .frames import Frame, common_rows
 
 __all__ = [
     "FlatnessReport",
@@ -75,10 +75,11 @@ def classify(start: Frame, end: Frame, tol: float = 1e-9) -> HolonomyResult:
     """
     if start.N != end.N or start.K != end.K:
         raise ValueError("frame dimensions differ")
-    m = start.data.conj().T @ end.data
+    _, (s, e) = common_rows(start, end)
+    m = s.conj().T @ e
     k = start.K
     # loop condition: end must lie in span(start)
-    loop_residual = float(np.linalg.norm(end.data - start.data @ m))
+    loop_residual = float(np.linalg.norm(e - s @ m))
     if loop_residual > max(tol, 1e-7):
         raise NotALoopError(
             f"endpoint leaves the starting subspace (residual {loop_residual:.3e})"

@@ -32,6 +32,10 @@ def braid_config(tmp_path, braid):
     return str(p)
 
 
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError("Unable to allocate 16.0 GiB for an array")
+
+
 def test_distance_fivequbit(tmp_path, capsys):
     out = tmp_path / "r.json"
     rc = main(["distance", "--code", "fivequbit", "--max-weight", "3",
@@ -80,6 +84,10 @@ def test_correctable_weight1(tmp_path):
         ["report-merge", "{tmp}/missing.json"],
         ["distance", "--code", "{tmp}/missing.json", "--max-weight", "1"],
         ["transversal", "holonomy", "--gate", "stabilizer-5"],
+        ["toric", "braid", "--config", "{tmp}/short-args.json"],
+        ["toric", "braid", "--config", "{tmp}/bad-ref.json"],
+        ["distance", "--code", "toric:L=4", "--max-weight", "1"],
+        ["transversal", "lie-dim", "{oom}"],
     ],
     ids=[
         "toric-build-without-config",
@@ -92,10 +100,22 @@ def test_correctable_weight1(tmp_path):
         "report-merge-missing",
         "code-file-missing",
         "stabilizer-out-of-range",
+        "braid-op-too-few-args",
+        "braid-ref-malformed",
+        "dense-size-guard",
+        "out-of-memory",
     ],
 )
-def test_library_errors_exit_2_with_one_line(argv, tmp_path, capsys):
+def test_library_errors_exit_2_with_one_line(argv, tmp_path, capsys, monkeypatch):
     (tmp_path / "no-L.json").write_text(json.dumps({"s": 0, "primal": [], "dual": []}))
+    for name, op in (
+        ("short-args", {"op": "TorusLoop", "args": [["primal", 0]]}),
+        ("bad-ref", {"op": "FullBraid", "args": [["primal"], ["dual", 0]]}),
+    ):
+        (tmp_path / f"{name}.json").write_text(json.dumps({"L": 3, "braid": [op]}))
+    if "{oom}" in argv:  # the verb's library call runs out of memory
+        argv = [a for a in argv if a != "{oom}"]
+        monkeypatch.setattr("holoqec.cli.fl_lie_algebra", _out_of_memory)
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     assert main(argv) == 2
     err = capsys.readouterr().err

@@ -61,7 +61,7 @@ def test_correction_agrees_with_dense_oracle_on_weight2(code5):
 def test_basis_independence(code5, rng):
     es = squdit_errors(5, 1)
     u = random_unitary(2, rng)
-    rotated = Code(code5.frame.matmul_logical(u), code5.qudit_dims)
+    rotated = Code(Frame(code5.frame.data @ u), code5.qudit_dims)
     rep1 = correction_condition(code5, es)
     rep2 = correction_condition(rotated, es)
     assert rep1.correctable and rep2.correctable

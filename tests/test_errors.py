@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from holoqec import (
+    DenseSizeError,
     EnumerationCapError,
     GeoLattice,
     PauliString,
@@ -136,3 +137,23 @@ def test_toric_memory_claim(toric3):
     # the witness product spans the torus: every nontrivial logical has weight >= L
     a, b = rep.witness
     assert (bad[a].dagger() * bad[b]).weight >= 3
+
+
+def test_conjugated_toric_set_refused_before_dense_images(toric3, rng):
+    """55 conjugated geolocal(1,1) errors would need 55 dense 16 MiB images."""
+    import time
+    import tracemalloc
+
+    es = geolocal_errors(GeoLattice.toric_edges(3), 1, 1)
+    conj = conjugated_error_set(es, [random_unitary(2, rng) for _ in range(es.n)])
+    assert len(conj) == 55
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        with pytest.raises(DenseSizeError, match="of 55 errors"):
+            correction_condition(toric3.code, conj, tol=1e-9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - t0 < 5.0
+    assert peak < 4 * 2**20

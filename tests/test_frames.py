@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from holoqec.frames import (
+    DenseSizeError,
     EmptySpanError,
     Frame,
+    common_rows,
     orthonormalize,
-    principal_angles,
     principal_overlap,
     subspace_distance,
     subspace_equal,
@@ -65,7 +66,7 @@ def test_principal_overlap_cases(rng):
     assert np.max(np.abs(principal_overlap(f, comp))) < 1e-10
     # rotated frame: overlap is exactly the rotation
     u = random_unitary(2, rng)
-    g = f.matmul_logical(u)
+    g = Frame(f.data @ u)
     m = principal_overlap(f, g)
     assert np.allclose(m, u)
     assert np.max(np.abs(m.conj().T @ m - np.eye(2))) < 1e-12
@@ -74,7 +75,7 @@ def test_principal_overlap_cases(rng):
 def test_subspace_equal_tolerance_behavior(rng):
     f = orthonormalize([rng.normal(size=8) + 1j * rng.normal(size=8) for _ in range(2)])
     u = random_unitary(2, rng)
-    assert subspace_equal(f, f.matmul_logical(u))
+    assert subspace_equal(f, Frame(f.data @ u))
     comp = np.eye(8, dtype=complex)[:, 6:]
     other = orthonormalize([comp[:, 0], comp[:, 1]])
     if subspace_distance(f, other) > 0.5:  # generic case
@@ -97,5 +98,54 @@ def test_principal_angles_orthogonal():
     e = np.eye(4, dtype=complex)
     f1 = Frame(e[:, :1])
     f2 = Frame(e[:, 1:2])
-    assert np.isclose(principal_angles(f1, f2)[0], np.pi / 2)
+    cosines = np.linalg.svd(principal_overlap(f1, f2), compute_uv=False)
+    assert np.isclose(np.arccos(np.clip(cosines, 0.0, 1.0))[0], np.pi / 2)
     assert np.isclose(subspace_distance(f1, f2), 1.0)
+
+
+def _row_frame(rng, N, rows, K):
+    """An orthonormal frame stored on the given support rows."""
+    a = rng.normal(size=(len(rows), K)) + 1j * rng.normal(size=(len(rows), K))
+    q, _ = np.linalg.qr(a)
+    return Frame.from_rows(N, np.sort(rows), q)
+
+
+def test_dense_round_trip_keeps_the_nonzero_rows(rng):
+    dense = np.zeros((16, 2), dtype=complex)
+    dense[[1, 4, 5, 11]] = np.linalg.qr(rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2)))[0]
+    f = Frame(dense)
+    assert np.array_equal(f.rows, [1, 4, 5, 11])
+    assert np.array_equal(f.data, dense)
+    full = orthonormalize([rng.normal(size=8) + 1j * rng.normal(size=8) for _ in range(3)])
+    assert full.rows.size == 8 and np.array_equal(Frame(full.data).data, full.data)
+
+
+def test_from_rows_validation():
+    with pytest.raises(ValueError, match="sorted"):
+        Frame.from_rows(8, [3, 1], np.eye(2, dtype=complex))
+    with pytest.raises(ValueError, match="sorted"):
+        Frame.from_rows(8, [1, 8], np.eye(2, dtype=complex))
+    with pytest.raises(ValueError, match="orthonormal"):
+        Frame.from_rows(8, [1, 2], np.ones((2, 2), dtype=complex))
+    f = Frame.from_rows(8, [1, 2, 6], np.eye(3, 2, dtype=complex))  # row 6 is zero
+    assert np.array_equal(f.rows, [1, 2])
+
+
+def test_overlap_and_combination_over_different_rows_equal_dense(rng):
+    N = 64
+    f1 = _row_frame(rng, N, rng.choice(N, 20, replace=False), 3)
+    f2 = _row_frame(rng, N, rng.choice(N, 25, replace=False), 3)
+    assert not np.array_equal(f1.rows, f2.rows)
+    dense = f1.data.conj().T @ f2.data
+    assert np.max(np.abs(principal_overlap(f1, f2) - dense)) < 1e-15
+    rows, (a, b) = common_rows(f1, f2)
+    assert np.array_equal(rows, np.union1d(f1.rows, f2.rows))
+    combined = np.zeros((N, 3), dtype=complex)
+    combined[rows] = 0.6 * a + 0.8j * b
+    assert np.array_equal(combined, 0.6 * f1.data + 0.8j * f2.data)
+
+
+def test_dense_view_guard():
+    f = Frame.from_rows(1 << 26, [0, 5], np.eye(2, dtype=complex))
+    with pytest.raises(DenseSizeError, match="dense view"):
+        f.data

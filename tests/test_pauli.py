@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from holoqec.frames import Frame
 from holoqec.pauli import (
     SIGMA,
     LocalOperator,
@@ -180,3 +181,21 @@ def test_local_operator_matches_dense(rng):
     op = LocalOperator.from_pauli(p)
     v = rng.normal(size=8) + 1j * rng.normal(size=8)
     assert np.max(np.abs(op.apply(v) - p.to_dense() @ v)) < 1e-12
+
+
+def test_apply_on_row_frames_matches_index_formula(rng):
+    """A Frame stored on a strict subset of the rows: XOR, sign, re-sort."""
+    for n in range(1, 9):
+        N = 1 << n
+        for k in range(4):
+            for _ in range(5):
+                K = int(rng.integers(1, 3)) if N > 2 else 1
+                R = int(rng.integers(K, N))
+                rows = np.sort(rng.choice(N, R, replace=False))
+                q, _ = np.linalg.qr(rng.normal(size=(R, K)) + 1j * rng.normal(size=(R, K)))
+                f = Frame.from_rows(N, rows, q)
+                p = PauliString(n, int(rng.integers(0, N)), int(rng.integers(0, N)), k)
+                got = apply_pauli(p, f)
+                assert isinstance(got, Frame) and got.rows.size == R
+                assert np.all(np.diff(got.rows) > 0)
+                assert np.array_equal(got.data, _apply_pauli_reference(p, f.data))

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
 
-from holoqec import distance
-from holoqec.pauli import PauliString
+from holoqec import DenseSizeError, distance, orthonormalize
+from holoqec.pauli import PauliString, apply_pauli
 from holoqec.toric import ConfigError, DefectConfig, TorusLattice, build_code
-from holoqec.toric.build import face_mask, vertex_mask
+from holoqec.toric.build import (
+    _dual_pairing_string,
+    _homology_shifts,
+    face_mask,
+    vertex_mask,
+)
 
 
 def stabilizer_eigenvalue(lat, frame, mask, pauli_kind):
@@ -83,6 +88,58 @@ def test_distance_witness_is_logical_row(toric2):
 
 
 def test_dense_cap():
-    lat = TorusLattice(4)
-    with pytest.raises(ValueError):
-        build_code(lat, DefectConfig((), ()), separation=0)
+    """L = 4 builds on its support rows; only the dense view is refused."""
+    tc = build_code(TorusLattice(4), DefectConfig((), ()), separation=0)
+    assert tc.code.K == 4 and tc.frame.rows.size == 4 * 2**15
+    with pytest.raises(DenseSizeError):
+        tc.frame.data
+
+
+def projector_build(lat, cfg):
+    """Oracle: the dense build, seeds times every vertex projector
+    (1 + eps_v A_v)/2 on all 2^n rows, then Gram-Schmidt."""
+    n = lat.n_edges
+    b0 = _dual_pairing_string(lat, cfg)
+    row, col = _homology_shifts(lat)
+    arr = np.zeros((1 << n, 4), dtype=complex)
+    for k, b in enumerate((b0, b0 ^ row, b0 ^ col, b0 ^ row ^ col)):
+        arr[b, k] = 1.0
+    for v in lat.vertices():
+        eps = -1.0 if v in cfg.primal else 1.0
+        arr = 0.5 * (arr + eps * apply_pauli(PauliString(n, vertex_mask(lat, v), 0), arr))
+    return orthonormalize(arr.T).data
+
+
+@pytest.mark.parametrize(
+    "L, primal, dual, s",
+    [
+        (2, (), (), 0),
+        (2, ((0, 0), (1, 1)), (), 2),
+        (3, (), (), 0),
+        (3, ((0, 0), (2, 2)), (), 1),
+        (3, (), ((0, 0), (2, 2)), 1),
+        (3, ((0, 0), (0, 2)), ((1, 1), (2, 0)), 0),
+        (3, ((0, 0), (1, 1)), ((1, 2), (2, 1)), 0),
+        (3, ((0, 0), (1, 1)), ((1, 2), (2, 1)), 1),
+    ],
+    ids=["toric2", "l2-defected", "toric3", "two-primal", "two-dual", "braidable", "swap",
+         "defect-signs"],
+)
+def test_group_build_equals_projector_build(L, primal, dual, s):
+    lat = TorusLattice(L)
+    cfg = DefectConfig(primal, dual)
+    tc = build_code(lat, cfg, separation=s)
+    assert tc.frame.rows.size == 4 * 2 ** (L * L - 1)
+    assert np.array_equal(tc.frame.data, projector_build(lat, cfg))
+
+
+def test_build_touches_only_support_rows(lat3):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        build_code(lat3, DefectConfig(((0, 0), (0, 2)), ((1, 1), (2, 0))), separation=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20

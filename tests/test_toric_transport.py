@@ -141,6 +141,18 @@ def test_dual_slide_equals_edge_code(toric3_two_dual, t):
     assert np.array_equal(out.data, edge_code(tc, "dual", e, t).data)
 
 
+def test_dual_edge_code_equals_dense_combination(toric3_two_dual):
+    """The dual sigma is an X: sigma F sits on other rows than F, so the
+    slid frame is stored on the union of both row sets."""
+    tc = toric3_two_dual
+    e, t = Edge(0, 0, "h"), 0.3
+    sigma = step_pauli(tc.lat, Step("dual", e))
+    dense = tc.frame.data
+    got = edge_code(tc, "dual", e, t)
+    assert got.rows.size == 2 * tc.frame.rows.size
+    assert np.array_equal(got.data, alpha(t) * dense + beta(t) * sigma.apply(dense))
+
+
 @pytest.mark.parametrize(
     "face, corner", [((1, 1), (0.0, 0.0)), ((1, 0), (0.0, 1.0))], ids=["from-C", "from-A"]
 )
