@@ -169,17 +169,19 @@ def geolocal_errors(
                 raise EnumerationCapError(projected, cap)
 
     # a support inside several unions is enumerated once: the letters on a
-    # support determine the Pauli, so distinct supports give distinct errors
-    supports: dict[tuple[int, ...], None] = {}
-    for u in unions:
-        for w in range(1, len(u) + 1):
-            for supp in itertools.combinations(u, w):
-                supports.setdefault(supp, None)
+    # support determine the Pauli, so distinct supports give distinct errors.
+    # Sorting the supports by (weight, support) and each support's letters
+    # by (x_bits, z_bits) orders the errors by (weight, support, x, z).
+    supports = {
+        supp
+        for u in unions
+        for w in range(1, len(u) + 1)
+        for supp in itertools.combinations(u, w)
+    }
     out = [PauliString.identity(n)]
-    for supp in supports:
-        out.extend(_paulis_on_support(n, supp))
-    ordered = sorted(out, key=lambda p: (p.weight, p.support, p.x_bits, p.z_bits))
-    return ErrorSet(tuple(ordered))
+    for supp in sorted(supports, key=lambda s: (len(s), s)):
+        out.extend(sorted(_paulis_on_support(n, supp), key=lambda p: (p.x_bits, p.z_bits)))
+    return ErrorSet(tuple(out))
 
 
 def conjugated_error_set(

@@ -88,6 +88,7 @@ def test_correctable_weight1(tmp_path):
         ["toric", "braid", "--config", "{tmp}/bad-ref.json"],
         ["distance", "--code", "toric:L=4", "--max-weight", "1"],
         ["transversal", "lie-dim", "{oom}"],
+        ["correctable", "--code", "fivequbit", "--errors", "squdit:s=1", "{small-limit}"],
     ],
     ids=[
         "toric-build-without-config",
@@ -104,6 +105,7 @@ def test_correctable_weight1(tmp_path):
         "braid-ref-malformed",
         "dense-size-guard",
         "out-of-memory",
+        "f-matrix-guard",
     ],
 )
 def test_library_errors_exit_2_with_one_line(argv, tmp_path, capsys, monkeypatch):
@@ -116,6 +118,9 @@ def test_library_errors_exit_2_with_one_line(argv, tmp_path, capsys, monkeypatch
     if "{oom}" in argv:  # the verb's library call runs out of memory
         argv = [a for a in argv if a != "{oom}"]
         monkeypatch.setattr("holoqec.cli.fl_lie_algebra", _out_of_memory)
+    if "{small-limit}" in argv:  # the stored f rows pass a lowered dense bound
+        argv = [a for a in argv if a != "{small-limit}"]
+        monkeypatch.setattr("holoqec.frames.DENSE_BYTES_LIMIT", 6000)
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     assert main(argv) == 2
     err = capsys.readouterr().err

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,10 @@ from holoqec import (
     logical_action,
     squdit_errors,
 )
+from holoqec.codes import _UNITS, _PauliBlocks, _Products, _apply_operator, _weight_class
+from holoqec.errors import GeoLattice, conjugated_error_set, geolocal_errors
 from holoqec.fivequbit import logical_x, logical_z, stabilizer_generators
+from holoqec.frames import DenseSizeError
 from holoqec.pauli import random_unitary
 
 
@@ -99,6 +104,18 @@ def test_distance_thread_invariance(code5):
     assert r1.witness == r4.witness
 
 
+@pytest.mark.parametrize("chunk", [1, 10, 1000])
+def test_weight_classes_follow_the_squdit_order(chunk):
+    """The distance scan meets Paulis in squdit_errors order, so its witness is the first."""
+    got = [
+        (int(x), int(z))
+        for w in range(1, 4)
+        for xs, zs in _weight_class(5, w, chunk)
+        for x, z in zip(xs, zs)
+    ]
+    assert got == [(p.x_bits, p.z_bits) for p in squdit_errors(5, 3)][1:]
+
+
 def test_distance_exhausted_reports_lower_bound(code5):
     res = distance(code5, 2)
     assert res.delta is None
@@ -152,3 +169,143 @@ def test_json_round_trip(code5):
     assert back.qudit_dims == code5.qudit_dims
     assert np.array_equal(back.frame.data, code5.frame.data)  # bit-exact
     assert code_to_json(back) == text
+
+
+# -- the batched block kernel against per-Pauli and per-pair references ------
+
+
+def pauli_block_reference(frame, p):
+    """F^dagger P F for one Pauli over the frame's support rows.
+
+    The per-Pauli kernel: gather F[m ^ x] through a row-position map whose
+    rows off the support point at a padded zero row, sign, phase, multiply.
+    """
+    r = frame.rows.size
+    pos = np.full(frame.N, r, dtype=np.int32)
+    pos[frame.rows] = np.arange(r, dtype=np.int32)
+    padded = np.vstack([frame.vals, np.zeros((1, frame.K), dtype=complex)])
+    src = np.bitwise_xor(frame.rows, p.x_bits)
+    right = padded.take(pos.take(src), axis=0)
+    if p.z_bits:
+        par = np.bitwise_count(np.bitwise_and(src, p.z_bits)).astype(np.int64) & 1
+        right = right * (1.0 - 2.0 * par)[:, None]
+    if p.phase_exp:
+        right = right * p.phase
+    return frame.vals.conj().T @ right
+
+
+def correction_reference(code, errors, tol=1e-9):
+    """Row-major, per-pair, fail-fast loop: (witness, max_deviation, f)."""
+    eye = np.eye(code.K)
+    errs = list(errors)
+    if all(isinstance(e, PauliString) for e in errs):
+        def block(a, b):
+            return pauli_block_reference(code.frame, errs[a].dagger() * errs[b])
+    else:
+        gs = [_apply_operator(e, code.frame.data) for e in errs]
+
+        def block(a, b):
+            return gs[a].conj().T @ gs[b]
+    f = np.zeros((len(errs), len(errs)), dtype=complex)
+    for a in range(len(errs)):
+        for b in range(len(errs)):
+            B = block(a, b)
+            f[a, b] = np.trace(B) / code.K
+            dev = float(np.max(np.abs(B - f[a, b] * eye)))
+            if dev >= tol:
+                return (a, b), dev, None
+    return None, 0.0, f
+
+
+def _random_products(frame, n, count, rng):
+    """Random Paulis, half of them with an x that maps a support row onto the support."""
+    rows = frame.rows
+    live = rows[rng.integers(0, rows.size, count)] ^ rows[rng.integers(0, rows.size, count)]
+    x = np.where(rng.random(count) < 0.5, live, rng.integers(0, 1 << n, count))
+    return x.astype(np.int64), rng.integers(0, 1 << n, count), rng.integers(0, 4, count)
+
+
+def _scattered_code(rng, n=6, r=24, k=3):
+    """A frame on r random rows: some x map only part of them onto the support."""
+    rows = np.sort(rng.choice(1 << n, r, replace=False))
+    q, _ = np.linalg.qr(rng.normal(size=(r, k)) + 1j * rng.normal(size=(r, k)))
+    return Code(Frame.from_rows(1 << n, rows, q), (2,) * n)
+
+
+@pytest.mark.parametrize("fixture", ["code5", "toric2", "toric3", "toric3_two_dual", "scattered"])
+def test_block_kernel_equals_per_pauli_reference(fixture, request, rng):
+    code = _scattered_code(rng) if fixture == "scattered" else request.getfixturevalue(fixture)
+    code = getattr(code, "code", code)
+    kernel = _PauliBlocks(code.frame)
+    x, z, k = _random_products(code.frame, code.n, 300, rng)
+    got = _UNITS[k][:, None, None] * kernel.blocks(x, z)
+    nonzero = 0
+    for i in range(x.size):
+        p = PauliString(code.n, int(x[i]), int(z[i]), int(k[i]))
+        ref = pauli_block_reference(code.frame, p)
+        assert np.array_equal(got[i], ref)
+        nonzero += bool(np.any(ref))
+    assert nonzero > 0
+
+
+def test_block_kernel_zero_when_x_misses_the_support(toric3, rng):
+    frame, n = toric3.code.frame, toric3.code.n
+    kernel = _PauliBlocks(frame)
+    x = rng.integers(1, 1 << n, 400)
+    misses = x[[not np.isin(frame.rows ^ v, frame.rows).any() for v in x]][:50]
+    assert misses.size == 50
+    z = rng.integers(0, 1 << n, misses.size)
+    blocks = kernel.blocks(misses, z)
+    assert np.all(blocks == 0)
+    for xi, zi, b in zip(misses, z, blocks):
+        assert np.array_equal(b, pauli_block_reference(frame, PauliString(n, int(xi), int(zi))))
+
+
+def test_block_kernel_refuses_masks_past_int64():
+    wide = Frame._unchecked(1 << 63, np.array([0]), np.ones((1, 1), dtype=complex))
+    with pytest.raises(ValueError, match="int64"):
+        _PauliBlocks(wide)
+    with pytest.raises(ValueError, match="int64"):
+        _Products(SimpleNamespace(n=32))  # a key x << n | z would need 64 bits
+
+
+def _conjugated_mixed(rng):
+    es = squdit_errors(5, 1)
+    return list(es) + conjugated_error_set(es, [random_unitary(2, rng) for _ in range(5)])
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["squdit0", "squdit1", "squdit2", "geolocal_1_1", "geolocal_2_1", "mixed", "mid_chunk"],
+)
+def test_correction_condition_equals_per_pair_reference(case, code5, toric3, rng, monkeypatch):
+    lat3 = GeoLattice.toric_edges(3)
+    code, errors = {
+        "squdit0": (code5, squdit_errors(5, 0)),
+        "squdit1": (code5, squdit_errors(5, 1)),
+        "squdit2": (code5, squdit_errors(5, 2)),
+        "geolocal_1_1": (toric3.code, geolocal_errors(lat3, 1, 1)),
+        "geolocal_2_1": (toric3.code, geolocal_errors(lat3, 2, 1)),
+        "mixed": (code5, _conjugated_mixed(rng)),
+        "mid_chunk": (code5, squdit_errors(5, 2)),
+    }[case]
+    if case == "mid_chunk":
+        # 16 products per chunk of a row: the witness (1, 55) sits inside the fourth
+        monkeypatch.setattr("holoqec.codes._CHUNK_BYTES", 16 * 32 * 16)
+    rep = correction_condition(code, errors, tol=1e-9)
+    witness, dev, f = correction_reference(code, errors, tol=1e-9)
+    assert rep.witness == witness
+    assert rep.max_deviation == dev
+    if f is None:
+        assert rep.f_matrix is None
+    else:
+        assert np.array_equal(rep.f_matrix, f)
+
+
+def test_success_side_f_bound(code5, monkeypatch):
+    """Past the bound, the stored f rows refuse; a witness found before that still answers."""
+    monkeypatch.setattr("holoqec.frames.DENSE_BYTES_LIMIT", 6000)
+    with pytest.raises(DenseSizeError, match="of 16 errors"):
+        correction_condition(code5, squdit_errors(5, 1))
+    rep = correction_condition(code5, squdit_errors(5, 2))
+    assert rep.witness == (1, 55)

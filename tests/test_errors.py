@@ -77,6 +77,15 @@ def test_geolocal_count_oracle_double_loop():
     assert got == seen
 
 
+@pytest.mark.parametrize("L, s", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)])
+def test_geolocal_order_is_the_full_sort(L, s):
+    """Sorted supports with letters sorted per support give the sort of all errors."""
+    es = geolocal_errors(GeoLattice.toric_edges(L), s, 1)
+    key = lambda p: (p.weight, p.support, p.x_bits, p.z_bits)  # noqa: E731
+    assert list(es) == sorted(es, key=key)
+    assert len({(p.x_bits, p.z_bits) for p in es}) == len(es)
+
+
 def test_geolocal_cap_guard():
     lat = GeoLattice.toric_edges(3)
     with pytest.raises(EnumerationCapError) as err:
