@@ -8,11 +8,11 @@ Pauli violating that condition for the single-operator set {P}.
 
 Both scans evaluate Pauli blocks with one batched kernel over the frame's
 support rows.  A block whose X part maps no support row onto the support is
-exactly zero and is never gathered; the correction condition evaluates each
-distinct product E_a^dagger E_b once, up to its exact phase.  The kernel
-holds a bounded working set per chunk of Paulis (``_CHUNK_BYTES``), and the
-correction condition keeps one row of f per row passed.  Both run on one
-thread; ``distance(threads=)`` is accepted and unused.
+exactly zero and is never gathered; the correction condition takes each
+error as its exact Pauli expansion and evaluates each distinct product of
+two terms once.  The kernel holds a bounded working set per chunk of Paulis
+(``_CHUNK_BYTES``), and the correction condition keeps one f value per pair
+passed.  Both run on one thread; ``distance(threads=)`` is accepted and unused.
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import squdit_errors
+from .errors import pauli_bits, squdit_errors
 from .frames import Frame, check_dense_size
-from .pauli import LocalOperator, PauliString, apply_pauli
+from .pauli import PauliString, apply_pauli
 
 __all__ = [
     "Code",
@@ -109,30 +109,14 @@ class NotLogicalError(ValueError):
         self.residual = residual
 
 
-# -- operator application dispatch -------------------------------------------
-
-
-def _apply_operator(op, arr: np.ndarray) -> np.ndarray:
-    if isinstance(op, PauliString):
-        return apply_pauli(op, arr)
-    if isinstance(op, LocalOperator):
-        return op.apply(arr)
-    if isinstance(op, np.ndarray):
-        return op @ arr
-    if callable(op):
-        return op(arr)
-    raise TypeError(f"cannot apply operator of type {type(op)!r}")
-
-
 # Working-set bound of the block kernel on an R-row, K-column frame: one step
 # gathers and signs _CHUNK_BYTES // (16 R K) blocks' R x K rows, and a scan
 # hands the kernel _CHUNK_BYTES // (16 R) Paulis at a time, whose row indices
 # (12 bytes per Pauli and row) fit in the same bound.
 _CHUNK_BYTES = 8 * 2**20
-# i^k for k = 0..3
+# i^k for k = 0..3, and (-1)^k for k = 0, 1
 _UNITS = np.array([1, 1j, -1, -1j])
-# (x bit, z bit) of the letters X, Y, Z
-_LETTER_BITS = np.array([[1, 0], [1, 1], [0, 1]], dtype=np.int64)
+_SIGNS = np.array([1.0, -1.0])
 
 
 class _PauliBlocks:
@@ -186,15 +170,17 @@ class _PauliBlocks:
 def _scalar_part(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """f = tr(B)/K and the deviation ||B - f * 1||_max of each block of a (c, K, K) stack."""
     k = B.shape[-1]
-    f = np.trace(B, axis1=1, axis2=2) / k
-    return f, np.abs(B - f[:, None, None] * np.eye(k)).max(axis=(1, 2))
+    entries = B.reshape(-1, k * k).T.copy()  # one row per entry: the reductions run along rows
+    f = entries[:: k + 1].sum(axis=0) / k
+    entries[:: k + 1] -= f
+    return f, np.abs(entries).max(axis=0)
 
 
 class _Products:
-    """f and deviation of each distinct phase-free product X^x Z^z evaluated so far.
+    """The K x K block of each distinct phase-free product X^x Z^z evaluated so far.
 
     Keyed by x << n | z (2n <= 52 bits under the map's n <= 26) and kept
-    sorted, 32 bytes per product; new keys go through the kernel once.
+    sorted, 8 + 16 K^2 bytes per product; new keys go through the kernel once.
     """
 
     def __init__(self, kernel: _PauliBlocks):
@@ -202,14 +188,14 @@ class _Products:
             raise ValueError(f"product keys are int64; n = {kernel.n} qubits is too many")
         self.kernel = kernel
         self.keys = np.empty(0, dtype=np.int64)
-        self.f = np.empty(0, dtype=complex)
-        self.dev = np.empty(0)
+        k = kernel.left.shape[0]
+        self.blocks = np.empty((0, k, k), dtype=complex)
 
     @property
     def nbytes(self) -> int:
-        return 32 * self.keys.size
+        return self.keys.nbytes + self.blocks.nbytes
 
-    def __call__(self, x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def __call__(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
         n = self.kernel.n
         keys = (x << n) | z
         at = np.searchsorted(self.keys, keys)
@@ -217,13 +203,24 @@ class _Products:
         seen[seen] = self.keys[at[seen]] == keys[seen]
         if not seen.all():
             new = np.unique(keys[~seen])
-            f, dev = _scalar_part(self.kernel.blocks(new >> n, new & ((1 << n) - 1)))
+            blocks = self.kernel.blocks(new >> n, new & ((1 << n) - 1))
             order = np.argsort(np.concatenate([self.keys, new]))
             self.keys = np.concatenate([self.keys, new])[order]
-            self.f = np.concatenate([self.f, f])[order]
-            self.dev = np.concatenate([self.dev, dev])[order]
+            self.blocks = np.concatenate([self.blocks, blocks])[order]
             at = np.searchsorted(self.keys, keys)
-        return self.f[at], self.dev[at]
+        return self.blocks.take(at, axis=0)
+
+
+def _pauli_terms(errors: list) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(ends, x, z, c): rows ends[a]..ends[a+1]-1 hold the pauli_terms c X^x Z^z of error a."""
+    if all(isinstance(e, PauliString) for e in errors):
+        x = np.array([e.x_bits for e in errors], dtype=np.int64)
+        z = np.array([e.z_bits for e in errors], dtype=np.int64)
+        c = _UNITS[np.array([e.phase_exp for e in errors], dtype=np.int64)]
+        return np.arange(len(errors) + 1), x, z, c
+    terms = [e.pauli_terms() for e in errors]
+    x, z, c = (np.concatenate([t[i] for t in terms]) for i in range(3))
+    return np.cumsum([0] + [t[0].size for t in terms]), x, z, c
 
 
 def correction_condition(code: Code, errors, tol: float = 1e-9) -> CorrectionReport:
@@ -234,84 +231,69 @@ def correction_condition(code: Code, errors, tol: float = 1e-9) -> CorrectionRep
     with f_ab = tr(B)/K.  Fails fast with the first violating pair as the
     witness; on success returns the full f matrix.
 
-    Each row is scanned in chunks of columns: a batch of blocks, their
-    scalar parts, then the first violation.  For Pauli errors the blocks
-    come from one kernel over the frame's support rows.  E_a^dagger E_b is
-    i^k X^x Z^z with an exact unit i^k, so each distinct (x, z) is evaluated
-    once and its f multiplied by i^k; blocks whose x maps no support row
-    onto the support are exactly zero and never gathered.  A set with any
-    non-Pauli error holds the m dense N x K images G_a = E_a F, raises
-    DenseSizeError up front when those would pass the dense bound, and
-    computes each row as one G_a^dagger @ [G_b] matmul.
+    Every error enters as its exact Pauli expansion E_a = sum_s c_s X^x_s Z^z_s
+    (one term for a PauliString, up to 4^w for a LocalOperator on w sites),
+    so B^{ab} sums conj(c_s) c_t (-1)^{|x_s & z_s| + |z_s & x_t|} times the
+    block of X^{x_s ^ x_t} Z^{z_s ^ z_t} over the terms of a and b.  The
+    kernel evaluates each distinct product block once.  With one term per
+    error the coefficients are exact units, so a Pauli set's f and
+    deviations are those of its products.
 
-    Memory grows with the scan: row a of f is m complex values (16 m bytes),
-    kept once the row has passed, and each distinct Pauli product costs 32
-    bytes.  Once the rows kept plus those products would pass the dense
-    bound, DenseSizeError is raised; a set that fails earlier still returns
-    its witness.  The m x m ``f_matrix`` is stacked only when every pair
-    has passed.
+    Pairs are scanned in runs of consecutive a * m + b holding at most the
+    kernel's width in term pairs: first rows 0 and 1 (row 0 of an ErrorSet
+    pairs the identity with each error), then as many whole rows as are
+    done, or a row too wide for that in chunks of columns.
+
+    Memory grows with the scan: 16 bytes per pair passed and 8 + 16 K^2
+    bytes per distinct product.  Once those would pass the dense bound,
+    DenseSizeError is raised; a set that fails earlier still returns its
+    witness.  The m x m ``f_matrix`` is stacked only when every pair has
+    passed.
     """
     errs = list(errors)
     m = len(errs)
+    ends, x, z, c = _pauli_terms(errs)
+    # (c_s X^x_s Z^z_s)^dagger = conj(c_s) (-1)^{|x_s & z_s|} X^x_s Z^z_s
+    left = c.conj() * _SIGNS[np.bitwise_count(x & z) & 1]
+    products = _Products(_PauliBlocks(code.frame))
+    width, k = products.kernel.width, code.K
 
-    products = None
-    if all(isinstance(e, PauliString) for e in errs):
-        products = _Products(_PauliBlocks(code.frame))
-        xs = np.array([e.x_bits for e in errs], dtype=np.int64)
-        zs = np.array([e.z_bits for e in errs], dtype=np.int64)
-        # i^k of E_a^dagger E_b: the phase of E_a^dagger, that of E_b, and a
-        # sign per Z of E_a moved through an X of E_b
-        ks = np.array([e.phase_exp for e in errs], dtype=np.int64)
-        lead = 2 * np.bitwise_count(xs & zs).astype(np.int64) - ks
-        width = products.kernel.width
-
-        def scan(a: int, cols: slice) -> tuple[np.ndarray, np.ndarray]:
-            swaps = np.bitwise_count(zs[a] & xs[cols]).astype(np.int64)
-            f, dev = products(xs[a] ^ xs[cols], zs[a] ^ zs[cols])
-            return _UNITS[(lead[a] + ks[cols] + 2 * swaps) % 4] * f, dev
-
-    else:
+    f_runs = [np.empty(0, dtype=complex)]
+    a = b = 0
+    while a < m:
+        rows = int(np.searchsorted(ends, ends[a] + width // ends[-1], side="right")) - 1 - a
+        if b == 0 and rows > 0:  # whole rows: as many as scanned so far, at least two
+            a1, b1 = a + min(max(a, 2), rows), m
+        else:  # one row, in chunks of columns
+            a1 = a + 1
+            cut = ends[b] + width // (ends[a + 1] - ends[a])
+            b1 = min(m, max(b + 1, int(np.searchsorted(ends, cut, side="right")) - 1))
+        s, t = slice(ends[a], ends[a1]), slice(ends[b], ends[b1])  # the terms of a and of b
+        coef = left[s, None] * c[t] * _SIGNS[np.bitwise_count(z[s, None] & x[t]) & 1]
+        blocks = coef[..., None, None] * products(x[s, None] ^ x[t], z[s, None] ^ z[t])
+        if blocks.shape[:2] != (a1 - a, b1 - b):  # else every error of the run is one term
+            # sum each pair's term blocks: over the terms of b, then over those of a
+            blocks = np.add.reduceat(blocks, ends[b:b1] - ends[b], axis=1)
+            blocks = np.add.reduceat(blocks, ends[a:a1] - ends[a], axis=0)
+        f, dev = _scalar_part(blocks.reshape(-1, k, k))
+        bad = np.flatnonzero(dev >= tol)
+        if bad.size:
+            i, j = divmod(int(bad[0]), b1 - b)
+            return CorrectionReport(False, None, (a + i, b + j), float(dev[bad[0]]))
+        f_runs.append(f)
+        a, b = (a1, 0) if b1 == m else (a, b1)
         check_dense_size(
-            16 * m * code.N * code.K, f"the dense images E_a F of {m} errors in a non-Pauli set"
+            16 * (a * m + b) + products.nbytes,
+            f"f values of the first {a * m + b} pairs of {m} errors, with the distinct products",
         )
-        gs = np.empty((m, code.N, code.K), dtype=complex)
-        for i, e in enumerate(errs):
-            gs[i] = _apply_operator(e, code.frame.data)
-        width = m
-
-        def scan(a: int, cols: slice) -> tuple[np.ndarray, np.ndarray]:
-            return _scalar_part(gs[a].conj().T @ gs[cols])
-
-    rows = []
-    for a in range(m):
-        row = np.empty(m, dtype=complex)
-        for lo in range(0, m, width):
-            f, dev = scan(a, slice(lo, lo + width))
-            bad = np.flatnonzero(dev >= tol)
-            if bad.size:
-                b = int(bad[0])
-                return CorrectionReport(False, None, (a, lo + b), float(dev[b]))
-            row[lo : lo + width] = f
-        check_dense_size(
-            16 * m * (a + 1) + (products.nbytes if products else 0),
-            f"f matrix rows 0..{a} of {m} errors, with the distinct products",
-        )
-        rows.append(row)
-    return CorrectionReport(True, np.array(rows, dtype=complex).reshape(m, m), None, 0.0)
+    return CorrectionReport(True, np.concatenate(f_runs).reshape(m, m), None, 0.0)
 
 
 def _weight_class(n: int, w: int, chunk: int):
-    """(x, z) arrays of every weight-w Pauli in enumeration order, about ``chunk`` at a time.
-
-    Supports run through the combinations of the n sites, then letters
-    X < Y < Z per site with the first site slowest, as in squdit_errors.
-    """
-    letters = _LETTER_BITS[np.array(list(itertools.product(range(3), repeat=w)))]
+    """(x, z) arrays of every weight-w Pauli in squdit_errors order, about ``chunk`` at a time."""
     combos = itertools.combinations(range(n), w)
     while batch := list(itertools.islice(combos, max(1, chunk // 3**w))):
-        bits = np.left_shift(1, np.array(batch, dtype=np.int64))
-        xz = (letters[None] * bits[:, None, :, None]).sum(axis=2)
-        yield xz[..., 0].ravel(), xz[..., 1].ravel()
+        yield pauli_bits(np.array(batch, dtype=np.int64))
 
 
 def distance(
@@ -341,12 +323,12 @@ def distance(
     return DistanceResult(None, max_weight + 1, None)
 
 
-def logical_action(code: Code, u, tol: float = 1e-9) -> np.ndarray:
-    """M = F^dagger U F, valid only when U preserves the codespace.
+def logical_action(code: Code, u: PauliString, tol: float = 1e-9) -> np.ndarray:
+    """M = F^dagger U F for a Pauli U, valid only when U preserves the codespace.
 
     Raises NotLogicalError carrying ||(1 - P) U F|| otherwise.
     """
-    g = _apply_operator(u, code.frame.data)
+    g = apply_pauli(u, code.frame.data)
     m = code.frame.data.conj().T @ g
     residual = float(np.linalg.norm(g - code.frame.data @ m))
     if np.max(np.abs(m.conj().T @ m - np.eye(code.K))) >= tol:

@@ -23,7 +23,8 @@ __all__ = [
     "EnumerationCapError",
 ]
 
-_LETTERS = ("X", "Y", "Z")
+# (x bit, z bit) of the letters X, Y, Z
+_LETTER_BITS = np.array([[1, 0], [1, 1], [0, 1]], dtype=np.int64)
 
 DEFAULT_ENUMERATION_CAP = 10**6
 
@@ -64,21 +65,25 @@ class ErrorSet:
         return [e.to_label() for e in self.errors]
 
 
-def _paulis_on_support(n: int, support: Sequence[int]) -> Iterator[PauliString]:
-    """All non-identity-free assignments over a fixed full support.
+def pauli_bits(supports: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x, z) int64 masks of the 3^w Paulis with full support on each row of a (c, w) site array.
 
-    Letters run X < Y < Z per site, the first site slowest.  Each Pauli is
-    the product of its single-site letters; as the sites are distinct the
-    factors commute, and the phase exponent is the number of Y letters.
+    Rows run in order, then letters X < Y < Z per site with the first site slowest.
     """
-    for letters in itertools.product(_LETTERS, repeat=len(support)):
-        x = z = 0
-        for site, letter in zip(support, letters):
-            if letter != "Z":
-                x |= 1 << site
-            if letter != "X":
-                z |= 1 << site
-        yield PauliString(n, x, z, letters.count("Y"))
+    w = supports.shape[1]
+    if supports.size and supports.max() > 62:
+        raise ValueError(f"Pauli bit masks are int64; site {supports.max()} is too high")
+    letters = np.array(list(itertools.product(range(3), repeat=w)), dtype=np.intp)
+    letters = _LETTER_BITS[letters.reshape(3**w, w)]
+    bits = np.left_shift(1, supports.astype(np.int64))
+    # the sites of a row are distinct, so summing their bits sets each one
+    return (bits @ letters[..., 0].T).ravel(), (bits @ letters[..., 1].T).ravel()
+
+
+def _pauli_strings(n: int, x: np.ndarray, z: np.ndarray) -> list[PauliString]:
+    """PauliStrings X^x Z^z times i^(number of Y letters), so each letter is Hermitian."""
+    k = np.bitwise_count(x & z)
+    return [PauliString(n, *xzk) for xzk in zip(x.tolist(), z.tolist(), k.tolist())]
 
 
 def squdit_errors(n: int, s: int) -> ErrorSet:
@@ -90,8 +95,8 @@ def squdit_errors(n: int, s: int) -> ErrorSet:
         raise ValueError(f"need 0 <= s <= n, got s={s}, n={n}")
     out = [PauliString.identity(n)]
     for w in range(1, s + 1):
-        for supp in itertools.combinations(range(n), w):
-            out.extend(_paulis_on_support(n, supp))
+        supports = np.array(list(itertools.combinations(range(n), w)), dtype=np.int64)
+        out += _pauli_strings(n, *pauli_bits(supports))
     return ErrorSet(tuple(out))
 
 
@@ -142,28 +147,19 @@ def geolocal_errors(
     if t < 1:
         raise ValueError("cluster diameter t must be at least 1")
     n = lat.n
-    disks = []
-    for c in range(n):
-        disk = tuple(
-            q for q in range(n) if lat.site_distance(c, q) <= t / 2 + 1e-9
-        )
-        disks.append(disk)
     # unique disks only, in first-seen order
-    seen_disks: dict[tuple[int, ...], None] = {}
-    for d in disks:
-        seen_disks.setdefault(d, None)
-    unique_disks = list(seen_disks)
+    unique_disks = list(dict.fromkeys(
+        tuple(q for q in range(n) if lat.site_distance(c, q) <= t / 2 + 1e-9) for c in range(n)
+    ))
 
     projected = 0
-    unions = []
-    seen_unions: dict[tuple[int, ...], None] = {}
+    unions: dict[tuple[int, ...], None] = {}
     for k in range(1, s + 1):
         for combo in itertools.combinations(range(len(unique_disks)), k):
             u = tuple(sorted(set(itertools.chain(*(unique_disks[i] for i in combo)))))
-            if u in seen_unions:
+            if u in unions:
                 continue
-            seen_unions[u] = None
-            unions.append(u)
+            unions[u] = None
             projected += 4 ** len(u)
             if projected > cap:
                 raise EnumerationCapError(projected, cap)
@@ -179,8 +175,10 @@ def geolocal_errors(
         for supp in itertools.combinations(u, w)
     }
     out = [PauliString.identity(n)]
-    for supp in sorted(supports, key=lambda s: (len(s), s)):
-        out.extend(sorted(_paulis_on_support(n, supp), key=lambda p: (p.x_bits, p.z_bits)))
+    for w, group in itertools.groupby(sorted(supports, key=lambda s: (len(s), s)), key=len):
+        x, z = pauli_bits(np.array(list(group), dtype=np.int64))
+        order = np.lexsort((z, x, np.arange(x.size) // 3**w))
+        out += _pauli_strings(n, x[order], z[order])
     return ErrorSet(tuple(out))
 
 
@@ -194,7 +192,9 @@ def conjugated_error_set(
     """
     if len(site_unitaries) != es.n:
         raise ValueError("need one site unitary per qubit")
-    for u in site_unitaries:
+    for j, u in enumerate(site_unitaries):
+        if np.shape(u) != (2, 2):
+            raise ValueError(f"site {j}: factor has shape {np.shape(u)}, need 2 x 2")
         if np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) > 1e-12:
             raise ValueError("site factors must be unitary")
     return [

@@ -44,6 +44,9 @@ _Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 
 SIGMA = {"I": _I2, "X": _X, "Y": _Y, "Z": _Z}
+# the site operators X^x Z^z indexed by q = x + 2z, and their (x, z) bits
+_SITE_PAULIS = np.array([_I2, _X, _Z, _X @ _Z])
+_Q_BITS = np.array([[0, 1, 0, 1], [0, 0, 1, 1]], dtype=np.int64)
 
 # letter -> (x bit, z bit, phase exponent of i)
 _LETTER_BITS = {"I": (0, 0, 0), "X": (1, 0, 0), "Z": (0, 1, 0), "Y": (1, 1, 1)}
@@ -155,6 +158,10 @@ class PauliString:
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         return apply_pauli(self, v)
+
+    def pauli_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(x_bits, z_bits, c) of the one term i^k X^x Z^z, as LocalOperator.pauli_terms."""
+        return np.array([self.x_bits]), np.array([self.z_bits]), np.array([self.phase])
 
 
 def pauli_mul(p: PauliString, q: PauliString) -> PauliString:
@@ -292,11 +299,21 @@ class LocalOperator:
         )
         return LocalOperator(self.n, self.sites, mats)
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        out = v
+    def pauli_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(x_bits, z_bits, c): this operator is sum_t c[t] X^x[t] Z^z[t], exactly.
+
+        Site factor M has the coefficient tr(P^dagger M)/2 on P = X^x Z^z, and the
+        products run first site slowest.  Exact zeros are dropped, with no
+        tolerance; the zero operator keeps one term.
+        """
+        x = z = np.zeros(1, dtype=np.int64)
+        c = np.ones(1, dtype=complex)
         for j, m in zip(self.sites, self.factors):
-            out = apply_site_matrix(m, j, out, self.n)
-        return out
+            x = (x[:, None] | (_Q_BITS[0] << j)).ravel()
+            z = (z[:, None] | (_Q_BITS[1] << j)).ravel()
+            c = (c[:, None] * (np.einsum("qij,ij->q", _SITE_PAULIS.conj(), m) / 2)).ravel()
+        keep = np.flatnonzero(c) if c.any() else [0]
+        return x[keep], z[keep], c[keep]
 
 
 def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:

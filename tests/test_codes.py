@@ -1,3 +1,6 @@
+import time
+import tracemalloc
+from functools import reduce
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,7 +19,7 @@ from holoqec import (
     logical_action,
     squdit_errors,
 )
-from holoqec.codes import _UNITS, _PauliBlocks, _Products, _apply_operator, _weight_class
+from holoqec.codes import _UNITS, _PauliBlocks, _Products, _weight_class
 from holoqec.errors import GeoLattice, conjugated_error_set, geolocal_errors
 from holoqec.fivequbit import logical_x, logical_z, stabilizer_generators
 from holoqec.frames import DenseSizeError
@@ -194,6 +197,14 @@ def pauli_block_reference(frame, p):
     return frame.vals.conj().T @ right
 
 
+def dense_operator(e):
+    """The dense matrix of a PauliString, or of a LocalOperator as the kron of its factors."""
+    if isinstance(e, PauliString):
+        return e.to_dense()
+    mats = dict(zip(e.sites, e.factors))
+    return reduce(np.kron, [mats.get(j, np.eye(2)) for j in reversed(range(e.n))])
+
+
 def correction_reference(code, errors, tol=1e-9):
     """Row-major, per-pair, fail-fast loop: (witness, max_deviation, f)."""
     eye = np.eye(code.K)
@@ -202,7 +213,7 @@ def correction_reference(code, errors, tol=1e-9):
         def block(a, b):
             return pauli_block_reference(code.frame, errs[a].dagger() * errs[b])
     else:
-        gs = [_apply_operator(e, code.frame.data) for e in errs]
+        gs = [dense_operator(e) @ code.frame.data for e in errs]
 
         def block(a, b):
             return gs[a].conj().T @ gs[b]
@@ -269,14 +280,17 @@ def test_block_kernel_refuses_masks_past_int64():
         _Products(SimpleNamespace(n=32))  # a key x << n | z would need 64 bits
 
 
-def _conjugated_mixed(rng):
-    es = squdit_errors(5, 1)
-    return list(es) + conjugated_error_set(es, [random_unitary(2, rng) for _ in range(5)])
+def _conjugated_mixed(rng, s_base):
+    us = [random_unitary(2, rng) for _ in range(5)]
+    return list(squdit_errors(5, s_base)) + conjugated_error_set(squdit_errors(5, 1), us)
 
 
 @pytest.mark.parametrize(
     "case",
-    ["squdit0", "squdit1", "squdit2", "geolocal_1_1", "geolocal_2_1", "mixed", "mid_chunk"],
+    [
+        "squdit0", "squdit1", "squdit2", "geolocal_1_1", "geolocal_2_1",
+        "mixed", "mixed_failing", "mid_chunk", "anticommuting",
+    ],
 )
 def test_correction_condition_equals_per_pair_reference(case, code5, toric3, rng, monkeypatch):
     lat3 = GeoLattice.toric_edges(3)
@@ -286,24 +300,112 @@ def test_correction_condition_equals_per_pair_reference(case, code5, toric3, rng
         "squdit2": (code5, squdit_errors(5, 2)),
         "geolocal_1_1": (toric3.code, geolocal_errors(lat3, 1, 1)),
         "geolocal_2_1": (toric3.code, geolocal_errors(lat3, 2, 1)),
-        "mixed": (code5, _conjugated_mixed(rng)),
+        "mixed": (code5, _conjugated_mixed(rng, 1)),
+        "mixed_failing": (code5, _conjugated_mixed(rng, 2)),
         "mid_chunk": (code5, squdit_errors(5, 2)),
+        # qubit 0 held in |0>: Z_0 is a stabilizer, so f = +-i on the
+        # anticommuting pairs of {I, X_0, Y_0, Z_0}, and the sign of each term shows
+        "anticommuting": (
+            Code(Frame(np.eye(4, dtype=complex)[:, [0, 2]]), (2, 2)),
+            [PauliString.from_label(p) for p in ("II", "XI", "YI", "ZI")],
+        ),
     }[case]
     if case == "mid_chunk":
-        # 16 products per chunk of a row: the witness (1, 55) sits inside the fourth
+        # runs of at most 16 columns: the witness (1, 55) is the eighth pair of row 1's fourth run
         monkeypatch.setattr("holoqec.codes._CHUNK_BYTES", 16 * 32 * 16)
     rep = correction_condition(code, errors, tol=1e-9)
     witness, dev, f = correction_reference(code, errors, tol=1e-9)
     assert rep.witness == witness
-    assert rep.max_deviation == dev
     if f is None:
         assert rep.f_matrix is None
+    if case == "mixed":
+        # term sums against dense images: equal up to rounding
+        assert rep.correctable and abs(rep.max_deviation - dev) < 1e-14
+        assert np.max(np.abs(rep.f_matrix - f)) < 1e-14
     else:
-        assert np.array_equal(rep.f_matrix, f)
+        assert rep.max_deviation == dev
+        assert f is None or np.array_equal(rep.f_matrix, f)
+
+
+@pytest.mark.parametrize("width", [16, 24, 64, 4096])
+def test_runs_hold_at_most_the_kernel_width(width, code5, rng, monkeypatch):
+    """Each run hands the product cache at most ``width`` term pairs, every pair once.
+
+    The mixed set has 1 to 4 terms per error, so runs of whole rows, row
+    chunks and single pairs all occur; the answer does not depend on them.
+    """
+    errors = _conjugated_mixed(rng, 1)
+    full = correction_condition(code5, errors, tol=1e-9)
+    terms = sum(len(e.pauli_terms()[0]) for e in errors)
+    seen = []
+    scan = _Products.__call__
+
+    def counting(self, x, z):
+        seen.append(x.size)
+        return scan(self, x, z)
+
+    monkeypatch.setattr(_Products, "__call__", counting)
+    monkeypatch.setattr("holoqec.codes._CHUNK_BYTES", 16 * 32 * width)  # the frame has 32 rows
+    rep = correction_condition(code5, errors, tol=1e-9)
+    assert max(seen) <= width and sum(seen) == terms**2
+    assert rep.correctable and np.array_equal(rep.f_matrix, full.f_matrix)
+
+
+def test_conjugated_toric_set_answered_by_the_pauli_scan(toric3, rng, monkeypatch):
+    """55 conjugated geolocal(1,1) errors at L = 3 go through the term table, never a dense view.
+
+    A conjugated weight-1 error lies in the span of the weight <= 1 Paulis,
+    so the verdict is the Pauli set's.  f is checked against a per-pair sum
+    over the terms of both errors, each block from the per-Pauli reference.
+    """
+    code = toric3.code
+    es = geolocal_errors(GeoLattice.toric_edges(3), 1, 1)
+    conj = conjugated_error_set(es, [random_unitary(2, rng) for _ in range(es.n)])
+    assert len(conj) == 55
+
+    def no_dense_view(frame):
+        raise AssertionError("the scan read Frame.data")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(Frame, "data", property(no_dense_view))
+        tracemalloc.start()
+        t0 = time.perf_counter()
+        try:
+            rep = correction_condition(code, conj, tol=1e-9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        elapsed = time.perf_counter() - t0
+    assert elapsed < 5.0
+    assert peak < 16 * 2**20
+    assert rep.correctable and correction_condition(code, es, tol=1e-9).correctable
+
+    blocks = {}
+
+    def block(p):  # F^dagger P F, one reference call per phase-free product
+        key = (p.x_bits, p.z_bits)
+        if key not in blocks:
+            blocks[key] = pauli_block_reference(code.frame, PauliString(code.n, *key))
+        return p.phase * blocks[key]
+
+    terms = [
+        [(ci, PauliString(code.n, int(xi), int(zi))) for xi, zi, ci in zip(*op.pauli_terms())]
+        for op in conj
+    ]
+    def pair_block(ta, tb):  # sum over the terms of a and of b
+        return sum(np.conj(cs) * ct * block(ps.dagger() * pt) for cs, ps in ta for ct, pt in tb)
+
+    f = np.array([[np.trace(pair_block(ta, tb)) / code.K for tb in terms] for ta in terms])
+    assert np.max(np.abs(rep.f_matrix - f)) < 1e-14
 
 
 def test_success_side_f_bound(code5, monkeypatch):
-    """Past the bound, the stored f rows refuse; a witness found before that still answers."""
+    """Past the bound, the stored f values refuse; a witness found before that still answers.
+
+    Squdit s = 1 (16 errors) keeps 8 168 bytes after its third run: 128 f
+    values and 85 products of 72 bytes.  Squdit s = 2 finds its witness
+    (1, 55) in its first run, rows 0 and 1, before any f value is kept.
+    """
     monkeypatch.setattr("holoqec.frames.DENSE_BYTES_LIMIT", 6000)
     with pytest.raises(DenseSizeError, match="of 16 errors"):
         correction_condition(code5, squdit_errors(5, 1))

@@ -1,8 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from holoqec import (
-    DenseSizeError,
     EnumerationCapError,
     GeoLattice,
     PauliString,
@@ -93,24 +94,24 @@ def test_geolocal_cap_guard():
     assert err.value.projected > 10**6
 
 
-def test_conjugated_identity_unchanged(code5, rng):
+def test_conjugated_identity_unchanged():
     es = squdit_errors(5, 1)
     ident = [np.eye(2, dtype=complex)] * 5
     ops = conjugated_error_set(es, ident)
-    v = rng.normal(size=32) + 1j * rng.normal(size=32)
-    for e, op in zip(es, ops):
-        assert np.max(np.abs(op.apply(v) - e.apply(v))) < 1e-12
+    for e, op in zip(es, ops):  # each expands to its own Pauli, exactly
+        assert [t.tolist() for t in op.pauli_terms()] == [t.tolist() for t in e.pauli_terms()]
 
 
-def test_conjugation_by_hadamard_swaps_z_to_x(rng):
+def test_conjugation_by_hadamard_swaps_z_to_x():
     h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
     es_z = squdit_errors(2, 0).errors + (PauliString.single(2, 0, "Z"),)
     from holoqec.errors import ErrorSet
 
     ops = conjugated_error_set(ErrorSet(es_z), [h, np.eye(2, dtype=complex)])
     x0 = PauliString.single(2, 0, "X")
-    v = rng.normal(size=4) + 1j * rng.normal(size=4)
-    assert np.max(np.abs(ops[1].apply(v) - x0.apply(v))) < 1e-12
+    x, z, c = ops[1].pauli_terms()
+    dense = sum(ci * PauliString(2, int(xi), int(zi)).to_dense() for xi, zi, ci in zip(x, z, c))
+    assert np.max(np.abs(dense - x0.to_dense())) < 1e-12
     assert ops[1].sites == (0,)  # support unchanged
 
 
@@ -148,21 +149,37 @@ def test_toric_memory_claim(toric3):
     assert (bad[a].dagger() * bad[b]).weight >= 3
 
 
-def test_conjugated_toric_set_refused_before_dense_images(toric3, rng):
-    """55 conjugated geolocal(1,1) errors would need 55 dense 16 MiB images."""
-    import time
-    import tracemalloc
+@pytest.mark.parametrize(
+    "factor, match",
+    [(np.eye(3, dtype=complex), "site 1: factor has shape"), (2 * np.eye(2), "unitary")],
+    ids=["not-2x2", "not-unitary"],
+)
+def test_conjugated_set_rejects_malformed_site_factors(factor, match):
+    with pytest.raises(ValueError, match=match):
+        conjugated_error_set(squdit_errors(3, 1), [np.eye(2), factor, np.eye(2)])
 
-    es = geolocal_errors(GeoLattice.toric_edges(3), 1, 1)
-    conj = conjugated_error_set(es, [random_unitary(2, rng) for _ in range(es.n)])
-    assert len(conj) == 55
-    tracemalloc.start()
-    t0 = time.perf_counter()
-    try:
-        with pytest.raises(DenseSizeError, match="of 55 errors"):
-            correction_condition(toric3.code, conj, tol=1e-9)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert time.perf_counter() - t0 < 5.0
-    assert peak < 4 * 2**20
+
+# sha256 of (x_bits, z_bits, phase_exp) over the enumerations below, which
+# fix each label too: a change of order, letters or phases changes it
+ENUMERATION_SHA256 = "cc765b20fcde0298e193cb52405bf8d5b6a2b5be97b70f6bfda6e681070f8815"
+
+
+def test_enumerations_match_the_pinned_digest():
+    h = hashlib.sha256()
+    for L in (2, 3):
+        for s in range(4):
+            for t in range(1, 4):
+                h.update(repr(("geolocal", L, s, t)).encode())
+                try:
+                    es = geolocal_errors(GeoLattice.toric_edges(L), s, t)
+                except EnumerationCapError as err:
+                    h.update(repr(("cap", err.projected)).encode())
+                    continue
+                for p in es:
+                    h.update(repr((p.x_bits, p.z_bits, p.phase_exp)).encode())
+    for n in range(1, 7):
+        for s in range(min(n, 3) + 1):
+            h.update(repr(("squdit", n, s)).encode())
+            for p in squdit_errors(n, s):
+                h.update(repr((p.x_bits, p.z_bits, p.phase_exp)).encode())
+    assert h.hexdigest() == ENUMERATION_SHA256

@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from holoqec.pauli import (
     beta,
     interp_matrix,
     pauli_mul,
+    random_unitary,
 )
 
 
@@ -175,12 +178,28 @@ def test_interp_unitary_and_reverse_identity():
             assert np.isclose(abs(alpha(t)) ** 2 + abs(beta(t)) ** 2, 1.0)
 
 
+def local_dense(op):
+    """The kron of a LocalOperator's factors, identity elsewhere; qubit 0 is the last factor."""
+    mats = dict(zip(op.sites, op.factors))
+    return reduce(np.kron, [mats.get(j, np.eye(2)) for j in reversed(range(op.n))])
+
+
 def test_local_operator_matches_dense(rng):
-    n = 3
     p = PauliString.from_label("-i*XZY")
     op = LocalOperator.from_pauli(p)
-    v = rng.normal(size=8) + 1j * rng.normal(size=8)
-    assert np.max(np.abs(op.apply(v) - p.to_dense() @ v)) < 1e-12
+    assert np.max(np.abs(local_dense(op) - p.to_dense())) < 1e-12
+    # a Pauli's expansion is itself, exactly
+    x, z, c = op.pauli_terms()
+    assert (x.tolist(), z.tolist(), c.tolist()) == ([p.x_bits], [p.z_bits], [p.phase])
+    # the expansion of unitary site factors sums back to their tensor product
+    n = 4
+    for w in range(4):
+        sites = tuple(sorted(rng.choice(n, w, replace=False).tolist()))
+        op = LocalOperator(n, sites, tuple(random_unitary(2, rng) for _ in sites))
+        x, z, c = op.pauli_terms()
+        assert x.size == 4**w
+        summed = sum(c[i] * PauliString(n, int(x[i]), int(z[i])).to_dense() for i in range(x.size))
+        assert np.max(np.abs(summed - local_dense(op))) < 1e-15
 
 
 def test_apply_on_row_frames_matches_index_formula(rng):
