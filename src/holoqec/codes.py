@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import pauli_bits, squdit_errors
+from .errors import ErrorSet, pauli_bits, squdit_errors
 from .frames import Frame, check_dense_size
 from .pauli import PauliString, apply_pauli
 
@@ -211,8 +211,16 @@ class _Products:
         return self.blocks.take(at, axis=0)
 
 
-def _pauli_terms(errors: list) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(ends, x, z, c): rows ends[a]..ends[a+1]-1 hold the pauli_terms c X^x Z^z of error a."""
+def _pauli_terms(errors) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(ends, x, z, c): rows ends[a]..ends[a+1]-1 hold the pauli_terms c X^x Z^z of error a.
+
+    An ErrorSet is one term per error, read straight from its (x, z, phase)
+    arrays.  Any other iterable is taken as a list of PauliStrings and
+    LocalOperators.
+    """
+    if isinstance(errors, ErrorSet):
+        return np.arange(len(errors) + 1), errors.x, errors.z, _UNITS[errors.phase]
+    errors = list(errors)
     if all(isinstance(e, PauliString) for e in errors):
         x = np.array([e.x_bits for e in errors], dtype=np.int64)
         z = np.array([e.z_bits for e in errors], dtype=np.int64)
@@ -250,9 +258,8 @@ def correction_condition(code: Code, errors, tol: float = 1e-9) -> CorrectionRep
     witness.  The m x m ``f_matrix`` is stacked only when every pair has
     passed.
     """
-    errs = list(errors)
-    m = len(errs)
-    ends, x, z, c = _pauli_terms(errs)
+    ends, x, z, c = _pauli_terms(errors)
+    m = ends.size - 1
     # (c_s X^x_s Z^z_s)^dagger = conj(c_s) (-1)^{|x_s & z_s|} X^x_s Z^z_s
     left = c.conj() * _SIGNS[np.bitwise_count(x & z) & 1]
     products = _Products(_PauliBlocks(code.frame))

@@ -1,12 +1,15 @@
 """Error-set generators: bounded-weight Paulis and geometrically local clusters.
 
 Both generators include the identity and enumerate deterministically (weight,
-then support lexicographically, then letters X < Y < Z per site).
+then support lexicographically, then letters X < Y < Z per site).  They fill
+an ErrorSet's (x, z, phase) int64 arrays straight from ``pauli_bits``; a
+PauliString is built only when a caller indexes or iterates the set.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -38,31 +41,61 @@ class EnumerationCapError(RuntimeError):
         self.cap = cap
 
 
-@dataclass(frozen=True)
 class ErrorSet:
-    """An ordered, identity-containing set of Pauli errors."""
+    """An ordered set of n-qubit Pauli errors with the identity first.
 
-    errors: tuple[PauliString, ...]
+    Error a is i^phase[a] X^x[a] Z^z[a], stored as read-only int64 arrays
+    ``x``, ``z`` and ``phase``; the correction condition reads them as they
+    are.  ``ErrorSet(paulis)`` builds one from PauliStrings and
+    ``ErrorSet.from_bits(n, x, z)`` from bit masks.  Indexing and iteration
+    build PauliStrings on demand.
+    """
 
-    def __post_init__(self):
-        if not self.errors or self.errors[0].weight != 0:
+    __slots__ = ("n", "x", "z", "phase")
+
+    def __init__(self, paulis: Sequence[PauliString]):
+        paulis = tuple(paulis)
+        n = paulis[0].n if paulis else 0
+        if any(p.n != n for p in paulis):
+            raise ValueError("every error of a set must act on the same qubit count")
+        x = np.array([p.x_bits for p in paulis], dtype=np.int64)
+        z = np.array([p.z_bits for p in paulis], dtype=np.int64)
+        self._set(n, x, z, np.array([p.phase_exp for p in paulis], dtype=np.int64))
+
+    @classmethod
+    def from_bits(cls, n: int, x, z) -> "ErrorSet":
+        """The errors X^x Z^z times i^(number of Y letters), so each letter is Hermitian."""
+        es = cls.__new__(cls)
+        x, z = np.array(x, dtype=np.int64), np.array(z, dtype=np.int64)
+        es._set(n, x, z, np.bitwise_count(x & z).astype(np.int64) & 3)
+        return es
+
+    def _set(self, n: int, x: np.ndarray, z: np.ndarray, phase: np.ndarray) -> None:
+        if x.ndim != 1 or not x.shape == z.shape == phase.shape:
+            raise ValueError("need one x, z and phase per error")
+        if n > 63:
+            raise ValueError(f"Pauli bit masks are int64; n = {n} qubits is too many")
+        if np.any((x | z) >> n):  # a bit at or above n, or a negative mask
+            raise ValueError("bit mask exceeds qubit count")
+        if not x.size or x[0] or z[0]:
             raise ValueError("error sets must contain the identity (first)")
-
-    def __iter__(self) -> Iterator[PauliString]:
-        return iter(self.errors)
+        for a in (x, z, phase):
+            a.setflags(write=False)
+        self.n, self.x, self.z, self.phase = n, x, z, phase
 
     def __len__(self) -> int:
-        return len(self.errors)
+        return self.x.size
 
-    def __getitem__(self, i):
-        return self.errors[i]
+    def __getitem__(self, i) -> PauliString:
+        i = operator.index(i)
+        return PauliString(self.n, int(self.x[i]), int(self.z[i]), int(self.phase[i]))
 
-    @property
-    def n(self) -> int:
-        return self.errors[0].n
+    def __iter__(self) -> Iterator[PauliString]:
+        for xzk in zip(self.x.tolist(), self.z.tolist(), self.phase.tolist()):
+            yield PauliString(self.n, *xzk)
 
     def to_labels(self) -> list[str]:
-        return [e.to_label() for e in self.errors]
+        return [e.to_label() for e in self]
 
 
 def pauli_bits(supports: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -80,12 +113,6 @@ def pauli_bits(supports: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (bits @ letters[..., 0].T).ravel(), (bits @ letters[..., 1].T).ravel()
 
 
-def _pauli_strings(n: int, x: np.ndarray, z: np.ndarray) -> list[PauliString]:
-    """PauliStrings X^x Z^z times i^(number of Y letters), so each letter is Hermitian."""
-    k = np.bitwise_count(x & z)
-    return [PauliString(n, *xzk) for xzk in zip(x.tolist(), z.tolist(), k.tolist())]
-
-
 def squdit_errors(n: int, s: int) -> ErrorSet:
     """All Pauli strings of weight <= s, identity included.
 
@@ -93,11 +120,13 @@ def squdit_errors(n: int, s: int) -> ErrorSet:
     """
     if not 0 <= s <= n:
         raise ValueError(f"need 0 <= s <= n, got s={s}, n={n}")
-    out = [PauliString.identity(n)]
+    x, z = [np.zeros(1, dtype=np.int64)], [np.zeros(1, dtype=np.int64)]
     for w in range(1, s + 1):
         supports = np.array(list(itertools.combinations(range(n), w)), dtype=np.int64)
-        out += _pauli_strings(n, *pauli_bits(supports))
-    return ErrorSet(tuple(out))
+        xw, zw = pauli_bits(supports)
+        x.append(xw)
+        z.append(zw)
+    return ErrorSet.from_bits(n, np.concatenate(x), np.concatenate(z))
 
 
 @dataclass(frozen=True)
@@ -147,39 +176,61 @@ def geolocal_errors(
     if t < 1:
         raise ValueError("cluster diameter t must be at least 1")
     n = lat.n
-    # unique disks only, in first-seen order
-    unique_disks = list(dict.fromkeys(
-        tuple(q for q in range(n) if lat.site_distance(c, q) <= t / 2 + 1e-9) for c in range(n)
-    ))
+    if n > 63:
+        raise ValueError(f"Pauli bit masks are int64; n = {n} qubits is too many")
+    # each disk as the bit mask of its sites; unique disks only, in first-seen order
+    disks = np.array(list(dict.fromkeys(
+        sum(1 << q for q in range(n) if lat.site_distance(c, q) <= t / 2 + 1e-9) for c in range(n)
+    )), dtype=np.int64)
 
+    # the distinct unions of 1..s disks, in first-seen order
+    unions = np.concatenate([np.zeros(0, dtype=np.int64)] + [
+        np.bitwise_or.reduce(disks[_combinations(disks.size, k)], axis=1) for k in range(1, s + 1)
+    ])
+    _, first = np.unique(unions, return_index=True)
+    unions = unions[np.sort(first)]
     projected = 0
-    unions: dict[tuple[int, ...], None] = {}
-    for k in range(1, s + 1):
-        for combo in itertools.combinations(range(len(unique_disks)), k):
-            u = tuple(sorted(set(itertools.chain(*(unique_disks[i] for i in combo)))))
-            if u in unions:
-                continue
-            unions[u] = None
-            projected += 4 ** len(u)
-            if projected > cap:
-                raise EnumerationCapError(projected, cap)
+    for size in np.bitwise_count(unions).tolist():
+        projected += 4**size
+        if projected > cap:
+            raise EnumerationCapError(projected, cap)
 
     # a support inside several unions is enumerated once: the letters on a
     # support determine the Pauli, so distinct supports give distinct errors.
     # Sorting the supports by (weight, support) and each support's letters
     # by (x_bits, z_bits) orders the errors by (weight, support, x, z).
-    supports = {
-        supp
-        for u in unions
-        for w in range(1, len(u) + 1)
-        for supp in itertools.combinations(u, w)
-    }
-    out = [PauliString.identity(n)]
-    for w, group in itertools.groupby(sorted(supports, key=lambda s: (len(s), s)), key=len):
-        x, z = pauli_bits(np.array(list(group), dtype=np.int64))
-        order = np.lexsort((z, x, np.arange(x.size) // 3**w))
-        out += _pauli_strings(n, x[order], z[order])
-    return ErrorSet(tuple(out))
+    sizes = np.bitwise_count(unions)
+    supports = np.unique(np.concatenate([np.zeros(1, dtype=np.int64)] + [
+        ((1 << _sites(unions[sizes == size], n)) @ _submask_bits(size)).ravel()
+        for size in np.unique(sizes).tolist()
+    ]))
+    weights = np.bitwise_count(supports)
+    x, z = [np.zeros(1, dtype=np.int64)], [np.zeros(1, dtype=np.int64)]
+    for w in range(1, int(weights.max()) + 1):
+        sites = _sites(supports[weights == w], n)
+        sites = sites[np.lexsort(sites.T[::-1])]  # supports as site tuples, lexicographic
+        # sites ascend along each row, so the permutation that sorts the
+        # letters of support 0..w-1 by (x, z) sorts those of every row
+        perm = np.lexsort(pauli_bits(np.arange(w)[None])[::-1])
+        for out, bits in zip((x, z), pauli_bits(sites)):
+            out.append(bits.reshape(-1, 3**w)[:, perm].ravel())
+    return ErrorSet.from_bits(n, np.concatenate(x), np.concatenate(z))
+
+
+def _combinations(d: int, k: int) -> np.ndarray:
+    """The k-subsets of range(d) as rows of a (C(d, k), k) index array, in itertools order."""
+    return np.array(list(itertools.combinations(range(d), k)), dtype=np.intp).reshape(-1, k)
+
+
+def _submask_bits(w: int) -> np.ndarray:
+    """(w, 2^w) 0/1 matrix whose column j picks the sites of the set bits of j."""
+    return (np.arange(1 << w) >> np.arange(w)[:, None]) & 1
+
+
+def _sites(masks: np.ndarray, n: int) -> np.ndarray:
+    """The sites of each of c masks of equal weight w, ascending, as a (c, w) array."""
+    _, sites = np.nonzero((masks[:, None] >> np.arange(n)) & 1)
+    return sites.astype(np.int64).reshape(masks.size, -1)
 
 
 def conjugated_error_set(

@@ -58,14 +58,18 @@ class Frame:
     __slots__ = ("N", "rows", "vals")
 
     def __init__(self, data):
-        a = np.asarray(data, dtype=complex)
+        a = np.array(data, dtype=complex)
         if a.ndim != 2:
             raise ValueError("frame data must be a 2-d array")
         self._set(a.shape[0], np.arange(a.shape[0]), a)
 
     @classmethod
     def from_rows(cls, N: int, rows, vals) -> "Frame":
-        """The frame whose row ``rows[i]`` is ``vals[i]`` and whose other rows are 0."""
+        """The frame whose row ``rows[i]`` is ``vals[i]`` and whose other rows are 0.
+
+        When no row of ``vals`` is zero the frame keeps ``rows`` and ``vals``
+        without a copy and makes them read-only.
+        """
         f = cls.__new__(cls)
         f._set(int(N), np.asarray(rows, dtype=np.int64), np.asarray(vals, dtype=complex))
         return f
@@ -90,7 +94,9 @@ class Frame:
         if err >= ORTHONORMALITY_TOL:
             raise ValueError(f"columns not orthonormal (max deviation {err:.3e})")
         keep = np.any(vals != 0, axis=1)
-        self._store(n, rows[keep], vals[keep])
+        if not keep.all():
+            rows, vals = rows[keep], vals[keep]
+        self._store(n, rows, vals)
 
     def _store(self, n: int, rows: np.ndarray, vals: np.ndarray) -> None:
         rows.setflags(write=False)

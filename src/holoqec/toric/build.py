@@ -154,11 +154,12 @@ def build_code(
         signs = np.concatenate([signs, eps * signs])
 
     rows = np.concatenate([b ^ group for b in seeds])
-    vals = np.zeros((rows.size, len(seeds)), dtype=complex)
-    for k in range(len(seeds)):
-        vals[k * size : (k + 1) * size, k] = signs / np.sqrt(size)
     order = np.argsort(rows)
-    if np.any(np.diff(rows[order]) == 0):
+    rows = rows[order]
+    if np.any(np.diff(rows) == 0):
         raise AssertionError("toric construction must yield K = 4")
-    frame = Frame.from_rows(1 << lat.n_edges, rows[order], vals[order])
+    # sorted row i is element order[i] % size of the coset of seed order[i] // size
+    vals = np.zeros((rows.size, len(seeds)), dtype=complex)
+    vals[np.arange(rows.size), order // size] = signs[order % size] / np.sqrt(size)
+    frame = Frame.from_rows(1 << lat.n_edges, rows, vals)
     return ToricCode(lat, cfg, separation, Code(frame, (2,) * lat.n_edges))

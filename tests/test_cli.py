@@ -147,6 +147,17 @@ def test_correctable_geolocal_on_toric(tmp_path):
     assert rc == 0
 
 
+def test_correctable_geolocal_3_1_reports_the_witness_labels(tmp_path):
+    out = tmp_path / "r.json"
+    rc = main(["correctable", "--code", "toric:L=3,s=0", "--errors", "geolocal:s=3,t=1",
+               "--expect", "false", "--out", str(out)])
+    assert rc == 0
+    res = read_report(out)["results"]
+    assert res["n_errors"] == 23464
+    assert res["witness"]["pair"] == [0, 1432]
+    assert res["witness"]["labels"] == ["+" + "I" * 18, "+ZZZ" + "I" * 15]
+
+
 def test_distance_on_code_file(tmp_path):
     from holoqec import code_to_json, five_qubit_code
 

@@ -327,6 +327,40 @@ def test_correction_condition_equals_per_pair_reference(case, code5, toric3, rng
         assert f is None or np.array_equal(rep.f_matrix, f)
 
 
+@pytest.mark.parametrize(
+    "case", ["squdit0", "squdit1", "squdit2", "geolocal_1_1", "geolocal_2_1"]
+)
+def test_error_set_arrays_scan_like_the_pauli_list(case, code5, toric3):
+    """An ErrorSet's (x, z, phase) arrays give the answer of its PauliStrings as a list."""
+    lat3 = GeoLattice.toric_edges(3)
+    code, es = {
+        "squdit0": (code5, squdit_errors(5, 0)),
+        "squdit1": (code5, squdit_errors(5, 1)),
+        "squdit2": (code5, squdit_errors(5, 2)),
+        "geolocal_1_1": (toric3.code, geolocal_errors(lat3, 1, 1)),
+        "geolocal_2_1": (toric3.code, geolocal_errors(lat3, 2, 1)),
+    }[case]
+    rep, ref = correction_condition(code, es), correction_condition(code, list(es))
+    assert rep.witness == ref.witness and rep.max_deviation == ref.max_deviation
+    assert (rep.f_matrix is None) == (ref.f_matrix is None)
+    assert rep.f_matrix is None or np.array_equal(rep.f_matrix, ref.f_matrix)
+
+
+def test_geolocal_3_1_generation_and_scan_build_no_pauli_string(toric3, monkeypatch):
+    built = []
+    post_init = PauliString.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(PauliString, "__post_init__", counting)
+    es = geolocal_errors(GeoLattice.toric_edges(3), 3, 1)
+    rep = correction_condition(toric3.code, es, tol=1e-9)
+    assert len(es) == 23464 and rep.witness == (0, 1432)
+    assert built == []
+
+
 @pytest.mark.parametrize("width", [16, 24, 64, 4096])
 def test_runs_hold_at_most_the_kernel_width(width, code5, rng, monkeypatch):
     """Each run hands the product cache at most ``width`` term pairs, every pair once.

@@ -5,6 +5,7 @@ import pytest
 
 from holoqec import (
     EnumerationCapError,
+    ErrorSet,
     GeoLattice,
     PauliString,
     conjugated_error_set,
@@ -33,6 +34,33 @@ def test_squdit_contains_identity_first():
     assert len(set(labels)) == len(labels)
     for lbl in labels:
         assert PauliString.from_label(lbl).to_label() == lbl
+
+
+def test_error_set_arrays_are_read_only_and_round_trip():
+    es = squdit_errors(4, 2)
+    for a in (es.x, es.z, es.phase):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1
+    again = ErrorSet(tuple(es))
+    assert again.n == es.n and again.to_labels() == es.to_labels()
+    for a, b in zip((again.x, again.z, again.phase), (es.x, es.z, es.phase)):
+        assert np.array_equal(a, b)
+    assert es[-1] == list(es)[-1] == PauliString.from_label("+IIZZ")
+    assert es[len(es) - 1] == es[-1]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: ErrorSet([PauliString.single(2, 0, "X"), PauliString.identity(2)]),
+        lambda: ErrorSet([]),
+        lambda: ErrorSet.from_bits(2, [1, 0], [0, 0]),
+    ],
+    ids=["identity-second", "empty", "from-bits"],
+)
+def test_error_set_needs_the_identity_first(make):
+    with pytest.raises(ValueError, match="identity"):
+        make()
 
 
 def test_geolocal_s0_identity_only():
@@ -104,9 +132,7 @@ def test_conjugated_identity_unchanged():
 
 def test_conjugation_by_hadamard_swaps_z_to_x():
     h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-    es_z = squdit_errors(2, 0).errors + (PauliString.single(2, 0, "Z"),)
-    from holoqec.errors import ErrorSet
-
+    es_z = tuple(squdit_errors(2, 0)) + (PauliString.single(2, 0, "Z"),)
     ops = conjugated_error_set(ErrorSet(es_z), [h, np.eye(2, dtype=complex)])
     x0 = PauliString.single(2, 0, "X")
     x, z, c = ops[1].pauli_terms()
