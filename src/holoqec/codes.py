@@ -215,17 +215,11 @@ def _pauli_terms(errors) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
     """(ends, x, z, c): rows ends[a]..ends[a+1]-1 hold the pauli_terms c X^x Z^z of error a.
 
     An ErrorSet is one term per error, read straight from its (x, z, phase)
-    arrays.  Any other iterable is taken as a list of PauliStrings and
-    LocalOperators.
+    arrays.  Any other iterable is taken as PauliStrings and LocalOperators,
+    each expanded by its ``pauli_terms``.
     """
     if isinstance(errors, ErrorSet):
         return np.arange(len(errors) + 1), errors.x, errors.z, _UNITS[errors.phase]
-    errors = list(errors)
-    if all(isinstance(e, PauliString) for e in errors):
-        x = np.array([e.x_bits for e in errors], dtype=np.int64)
-        z = np.array([e.z_bits for e in errors], dtype=np.int64)
-        c = _UNITS[np.array([e.phase_exp for e in errors], dtype=np.int64)]
-        return np.arange(len(errors) + 1), x, z, c
     terms = [e.pauli_terms() for e in errors]
     x, z, c = (np.concatenate([t[i] for t in terms]) for i in range(3))
     return np.cumsum([0] + [t[0].size for t in terms]), x, z, c

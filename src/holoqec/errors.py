@@ -8,6 +8,7 @@ PauliString is built only when a caller indexes or iterates the set.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -176,61 +177,39 @@ def geolocal_errors(
     if t < 1:
         raise ValueError("cluster diameter t must be at least 1")
     n = lat.n
-    if n > 63:
-        raise ValueError(f"Pauli bit masks are int64; n = {n} qubits is too many")
     # each disk as the bit mask of its sites; unique disks only, in first-seen order
-    disks = np.array(list(dict.fromkeys(
+    disks = list(dict.fromkeys(
         sum(1 << q for q in range(n) if lat.site_distance(c, q) <= t / 2 + 1e-9) for c in range(n)
-    )), dtype=np.int64)
+    ))
 
-    # the distinct unions of 1..s disks, in first-seen order
-    unions = np.concatenate([np.zeros(0, dtype=np.int64)] + [
-        np.bitwise_or.reduce(disks[_combinations(disks.size, k)], axis=1) for k in range(1, s + 1)
-    ])
-    _, first = np.unique(unions, return_index=True)
-    unions = unions[np.sort(first)]
     projected = 0
-    for size in np.bitwise_count(unions).tolist():
-        projected += 4**size
-        if projected > cap:
-            raise EnumerationCapError(projected, cap)
+    unions: dict[int, None] = {}
+    for k in range(1, s + 1):
+        for combo in itertools.combinations(disks, k):
+            u = functools.reduce(operator.or_, combo)
+            if u in unions:
+                continue
+            unions[u] = None
+            projected += 4 ** u.bit_count()
+            if projected > cap:
+                raise EnumerationCapError(projected, cap)
 
     # a support inside several unions is enumerated once: the letters on a
     # support determine the Pauli, so distinct supports give distinct errors.
     # Sorting the supports by (weight, support) and each support's letters
     # by (x_bits, z_bits) orders the errors by (weight, support, x, z).
-    sizes = np.bitwise_count(unions)
-    supports = np.unique(np.concatenate([np.zeros(1, dtype=np.int64)] + [
-        ((1 << _sites(unions[sizes == size], n)) @ _submask_bits(size)).ravel()
-        for size in np.unique(sizes).tolist()
-    ]))
-    weights = np.bitwise_count(supports)
+    supports: set[tuple[int, ...]] = set()
+    for u in unions:
+        sites = [q for q in range(n) if u >> q & 1]
+        for w in range(1, len(sites) + 1):
+            supports.update(itertools.combinations(sites, w))
     x, z = [np.zeros(1, dtype=np.int64)], [np.zeros(1, dtype=np.int64)]
-    for w in range(1, int(weights.max()) + 1):
-        sites = _sites(supports[weights == w], n)
-        sites = sites[np.lexsort(sites.T[::-1])]  # supports as site tuples, lexicographic
-        # sites ascend along each row, so the permutation that sorts the
-        # letters of support 0..w-1 by (x, z) sorts those of every row
-        perm = np.lexsort(pauli_bits(np.arange(w)[None])[::-1])
-        for out, bits in zip((x, z), pauli_bits(sites)):
-            out.append(bits.reshape(-1, 3**w)[:, perm].ravel())
+    for w, group in itertools.groupby(sorted(supports, key=lambda s: (len(s), s)), key=len):
+        xw, zw = pauli_bits(np.array(list(group), dtype=np.int64))
+        order = np.lexsort((zw, xw, np.arange(xw.size) // 3**w))
+        x.append(xw[order])
+        z.append(zw[order])
     return ErrorSet.from_bits(n, np.concatenate(x), np.concatenate(z))
-
-
-def _combinations(d: int, k: int) -> np.ndarray:
-    """The k-subsets of range(d) as rows of a (C(d, k), k) index array, in itertools order."""
-    return np.array(list(itertools.combinations(range(d), k)), dtype=np.intp).reshape(-1, k)
-
-
-def _submask_bits(w: int) -> np.ndarray:
-    """(w, 2^w) 0/1 matrix whose column j picks the sites of the set bits of j."""
-    return (np.arange(1 << w) >> np.arange(w)[:, None]) & 1
-
-
-def _sites(masks: np.ndarray, n: int) -> np.ndarray:
-    """The sites of each of c masks of equal weight w, ascending, as a (c, w) array."""
-    _, sites = np.nonzero((masks[:, None] >> np.arange(n)) & 1)
-    return sites.astype(np.int64).reshape(masks.size, -1)
 
 
 def conjugated_error_set(

@@ -68,10 +68,12 @@ class Frame:
         """The frame whose row ``rows[i]`` is ``vals[i]`` and whose other rows are 0.
 
         When no row of ``vals`` is zero the frame keeps ``rows`` and ``vals``
-        without a copy and makes them read-only.
+        without a copy and makes them read-only, if they own their memory; a
+        view is copied, since its base would stay writable.
         """
+        rows, vals = np.asarray(rows, dtype=np.int64), np.asarray(vals, dtype=complex)
         f = cls.__new__(cls)
-        f._set(int(N), np.asarray(rows, dtype=np.int64), np.asarray(vals, dtype=complex))
+        f._set(int(N), *(a if a.flags.owndata else a.copy() for a in (rows, vals)))
         return f
 
     @classmethod

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -120,6 +121,19 @@ def test_geolocal_cap_guard():
     with pytest.raises(EnumerationCapError) as err:
         geolocal_errors(lat, 1, 2)  # 18 disks of 9 sites: ~4.7e6 projected
     assert err.value.projected > 10**6
+
+
+def test_geolocal_cap_refuses_before_enumerating_unions():
+    """At L = 4, s = 10 the unions of up to ten of 32 disks are never built."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnumerationCapError) as err:
+            geolocal_errors(GeoLattice.toric_edges(4), 10, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.projected > 10**6
+    assert peak < 4 * 2**20
 
 
 def test_conjugated_identity_unchanged():

@@ -131,6 +131,16 @@ def test_from_rows_validation():
     assert np.array_equal(f.rows, [1, 2])
 
 
+def test_from_rows_keeps_owned_blocks_and_copies_views():
+    rows, vals = np.array([1, 5]), np.eye(2, dtype=complex)
+    f = Frame.from_rows(8, rows, vals)
+    assert f.vals is vals and not vals.flags.writeable
+    big = np.eye(2, 3, dtype=complex)
+    f = Frame.from_rows(8, rows, big[:, :2])
+    big[0, 0] = 2.0  # the caller's base stays writable; the frame does not see it
+    assert f.vals[0, 0] == 1.0
+
+
 def test_overlap_and_combination_over_different_rows_equal_dense(rng):
     N = 64
     f1 = _row_frame(rng, N, rng.choice(N, 20, replace=False), 3)
