@@ -202,13 +202,12 @@ _GATE_BUILDERS = {
 
 
 def _transversal_path_for_gate(gate: str):
-    import scipy.linalg
-
     if gate in _GATE_BUILDERS:
         return _GATE_BUILDERS[gate]()
     if gate == "R3":
-        h = scipy.linalg.logm(R3)
-        h = 0.5 * (h - h.conj().T)  # exact anti-Hermitian part against logm noise
+        w, v = np.linalg.eig(R3)  # principal log of the unitary R3 from its eigenpairs
+        h = (v * np.log(w)) @ np.linalg.inv(v)
+        h = 0.5 * (h - h.conj().T)  # exact anti-Hermitian part against rounding noise
         return exponential_path((2,) * 5, [h] * 5)
     if gate.startswith("stabilizer-"):
         k = int(gate.split("-")[1])
@@ -250,10 +249,7 @@ def cmd_transversal(args) -> int:
         ok = res.residual < args.tol
         _summary(f"holonomy {args.gate}: {res.classification}, residual {res.residual:.2e}")
     elif args.subcommand == "flatness":
-        endpoints = [PauliString.from_label(s) for s in STABILIZER_LABELS] + [
-            PauliString.from_label("XXXXX"),
-            PauliString.from_label("ZZZZZ"),
-        ]
+        endpoints = [PauliString.from_label(s) for s in (*STABILIZER_LABELS, "XXXXX", "ZZZZZ")]
         rep = flatness_probe_transversal(code, endpoints, args.trials, tol=args.tol, rng=rng)
         ok = rep.ok
         results = {

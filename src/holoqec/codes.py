@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -74,6 +75,11 @@ class Code:
     def is_qubit_code(self) -> bool:
         return all(d == 2 for d in self.qudit_dims)
 
+    @cached_property
+    def _blocks(self) -> _PauliBlocks:
+        """The frame's Pauli block kernel, built on first use and kept with the code."""
+        return _PauliBlocks(self.frame)
+
 
 @dataclass(frozen=True)
 class CorrectionReport:
@@ -126,7 +132,8 @@ class _PauliBlocks:
     rows m in the support contribute.  F[m^x] is gathered through an int32
     map from row index to block position, in which rows off the support
     point at one padded zero row.  The map, the padded block and its
-    conjugate transpose are fixed per frame and built once.
+    conjugate transpose are fixed per frame; ``Code._blocks`` builds them
+    once per code.
 
     When X^x maps no support row onto the support, every block with that x
     is exactly zero and nothing is gathered; for a toric frame that is most
@@ -147,12 +154,15 @@ class _PauliBlocks:
         self.pos[frame.rows] = np.arange(r, dtype=np.int32)
         self.padded = np.vstack([frame.vals, np.zeros((1, frame.K), dtype=complex)])
         self.left = frame.vals.conj().T
-        self.chunk = max(1, _CHUNK_BYTES // (16 * r * frame.K))
-        self.width = max(1, _CHUNK_BYTES // (16 * r))
+
+    @property
+    def width(self) -> int:
+        return max(1, _CHUNK_BYTES // (16 * self.rows.size))
 
     def blocks(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
         """The (c, K, K) blocks of X^x[i] Z^z[i] for int64 arrays x, z of length c."""
         k, r = self.left.shape
+        chunk = max(1, _CHUNK_BYTES // (16 * r * k))
         out = np.zeros((x.size, k, k), dtype=complex)
         xs, inverse = np.unique(x, return_inverse=True)
         src = self.rows ^ xs[:, None]
@@ -160,8 +170,8 @@ class _PauliBlocks:
         for u in np.flatnonzero((at < r).any(axis=1)):
             right = self.padded.take(at[u], axis=0)
             members = np.flatnonzero(inverse == u)
-            for lo in range(0, members.size, self.chunk):
-                part = members[lo : lo + self.chunk]
+            for lo in range(0, members.size, chunk):
+                part = members[lo : lo + chunk]
                 par = np.bitwise_count(src[u] & z[part, None]) & 1
                 out[part] = self.left @ (right * (1.0 - 2.0 * par)[:, :, None])
         return out
@@ -256,7 +266,7 @@ def correction_condition(code: Code, errors, tol: float = 1e-9) -> CorrectionRep
     m = ends.size - 1
     # (c_s X^x_s Z^z_s)^dagger = conj(c_s) (-1)^{|x_s & z_s|} X^x_s Z^z_s
     left = c.conj() * _SIGNS[np.bitwise_count(x & z) & 1]
-    products = _Products(_PauliBlocks(code.frame))
+    products = _Products(code._blocks)
     width, k = products.kernel.width, code.K
 
     f_runs = [np.empty(0, dtype=complex)]
@@ -314,7 +324,7 @@ def distance(
         raise ValueError("distance enumeration supports qubit codes only")
     if not 1 <= max_weight <= code.n:
         raise ValueError(f"max_weight must be in 1..{code.n}")
-    kernel = _PauliBlocks(code.frame)
+    kernel = code._blocks
     for w in range(1, max_weight + 1):
         for x, z in _weight_class(code.n, w, kernel.width):
             hit = np.flatnonzero(_scalar_part(kernel.blocks(x, z))[1] >= tol)

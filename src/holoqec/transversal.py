@@ -3,7 +3,10 @@ tangent algebra, projectively-trivial-action probes, and holonomies of
 transversal loops.
 
 Everything here stays in per-site factors; matrix exponentials act on the
-small site blocks only, never on the 2^n-dimensional space.
+small site blocks only, never on the 2^n-dimensional space.  A site
+exponential is exp(H) = V diag(e^{iw}) V^dagger with (w, V) the eigenpairs of
+the Hermitian -iH, and a path evaluates all of its non-idle (segment, site)
+generators in one batched ``np.linalg.eigh`` per site dimension.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .codes import Code
 from .frames import Frame
@@ -34,6 +36,12 @@ __all__ = [
 ]
 
 UNITARY_TOL = 1e-12
+
+
+def _expm_antihermitian(h: np.ndarray) -> np.ndarray:
+    """exp(H) for an (m, d, d) stack of anti-Hermitian H: V e^{iw} V^dagger, (w, V) = eigh(-iH)."""
+    w, v = np.linalg.eigh(-1j * h)
+    return (v * np.exp(1j * w)[:, None, :]) @ v.conj().transpose(0, 2, 1)
 
 
 @dataclass(frozen=True)
@@ -60,9 +68,8 @@ class TransversalUnitary:
             raise NotImplementedError("vector application implemented for qubits")
         out = arr
         for j, f in enumerate(self.factors):
-            if np.allclose(f, np.eye(2), atol=1e-15):
-                continue
-            out = apply_site_matrix(f, j, out, self.n)
+            if not np.array_equal(f, np.eye(2)):
+                out = apply_site_matrix(f, j, out, self.n)
         return out
 
     def __matmul__(self, other: "TransversalUnitary") -> "TransversalUnitary":
@@ -83,12 +90,6 @@ class PathSegment:
 
     generators: tuple[np.ndarray | None, ...]
 
-    def unitary(self, fraction: float = 1.0) -> list[np.ndarray | None]:
-        out: list[np.ndarray | None] = []
-        for h in self.generators:
-            out.append(None if h is None else scipy.linalg.expm(fraction * h))
-        return out
-
 
 @dataclass(frozen=True)
 class TransversalPath:
@@ -106,29 +107,26 @@ class TransversalPath:
                     raise ValueError("generators must be anti-Hermitian")
 
     def endpoint(self) -> TransversalUnitary:
-        factors = [np.eye(d, dtype=complex) for d in self.dims]
-        for seg in self.segments:
-            for j, u in enumerate(seg.unitary()):
-                if u is not None:
-                    factors[j] = u @ factors[j]
-        return TransversalUnitary(tuple(factors))
+        return self.evaluate(1.0)
 
     def evaluate(self, t: float) -> TransversalUnitary:
         """F(t) with t in [0, 1] distributed evenly over the segments."""
         if not 0.0 <= t <= 1.0:
             raise ValueError("t must lie in [0, 1]")
-        m = len(self.segments)
+        pos = t * len(self.segments)
+        steps = [  # (site, fraction * generator) in path order; idle sites are skipped
+            (j, frac * h)
+            for i, seg in enumerate(self.segments)
+            if (frac := min(max(pos - i, 0.0), 1.0)) > 0.0
+            for j, h in enumerate(seg.generators)
+            if h is not None
+        ]
         factors = [np.eye(d, dtype=complex) for d in self.dims]
-        if m == 0:
-            return TransversalUnitary(tuple(factors))
-        pos = t * m
-        for i, seg in enumerate(self.segments):
-            frac = min(max(pos - i, 0.0), 1.0)
-            if frac == 0.0:
-                break
-            for j, u in enumerate(seg.unitary(frac)):
-                if u is not None:
-                    factors[j] = u @ factors[j]
+        for d in set(self.dims):  # one batched exponential per site dimension
+            on = [(j, h) for j, h in steps if self.dims[j] == d]
+            us = _expm_antihermitian(np.array([h for _, h in on]).reshape(-1, d, d))
+            for (j, _), u in zip(on, us):
+                factors[j] = u @ factors[j]
         return TransversalUnitary(tuple(factors))
 
     def apply_to(self, arr: np.ndarray, t: float = 1.0) -> np.ndarray:
@@ -220,17 +218,13 @@ class LieAlgebraBasis:
     def dimension(self) -> int:
         return self.coefficients.shape[0]
 
-    def _param_layout(self) -> list[tuple[int, list[np.ndarray]]]:
-        return [(j, _antiherm_site_basis(d)) for j, d in enumerate(self.site_dims)]
-
     def generators(self, coeffs: np.ndarray) -> list[np.ndarray | None]:
         """Per-site anti-Hermitian matrices for a parameter vector."""
         out: list[np.ndarray | None] = []
         pos = 0
-        for j, basis in self._param_layout():
-            d = self.site_dims[j]
+        for d in self.site_dims:
             h = np.zeros((d, d), dtype=complex)
-            for b in basis:
+            for b in _antiherm_site_basis(d):
                 h = h + coeffs[pos] * b
                 pos += 1
             out.append(h if np.max(np.abs(h)) > 1e-14 else None)
@@ -293,13 +287,7 @@ def check_projectively_trivial_action(
     eye = np.eye(code.K)
     for _ in range(samples):
         gens = basis.random_element(rng)
-        u = TransversalUnitary(
-            tuple(
-                np.eye(d, dtype=complex) if h is None else scipy.linalg.expm(h)
-                for h, d in zip(gens, code.qudit_dims)
-            )
-        )
-        m = fdata.conj().T @ u.apply(fdata)
+        m = fdata.conj().T @ exponential_path(code.qudit_dims, gens).apply_to(fdata)
         xi = np.trace(m) / code.K
         residual = max(
             float(np.max(np.abs(m - xi * eye))), abs(abs(xi) - 1.0)

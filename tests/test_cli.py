@@ -140,6 +140,27 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     assert read_report(tmp_path / "r.json")["results"]["delta"] == 3
 
 
+def test_no_scipy_at_runtime(tmp_path):
+    """Importing the package and running verbs never loads SciPy (a test-only oracle)."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = f"""
+import sys
+import holoqec, holoqec.cli, holoqec.toric
+from holoqec.cli import main
+for argv in (["transversal", "flatness", "--trials", "2"],
+             ["transversal", "trivial-action", "--samples", "2"],
+             ["transversal", "holonomy", "--gate", "R3"],
+             ["distance", "--code", "fivequbit", "--max-weight", "2"],
+             ["toric", "face-checks", "--L", "2"]):
+    assert main(argv + ["--out", {str(tmp_path / "r.json")!r}]) == 0, argv
+assert "scipy" not in sys.modules
+"""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_correctable_geolocal_on_toric(tmp_path):
     rc = main(["correctable", "--code", "toric:L=3,s=0",
                "--errors", "geolocal:s=1,t=1", "--expect", "true",

@@ -272,6 +272,17 @@ def test_block_kernel_zero_when_x_misses_the_support(toric3, rng):
         assert np.array_equal(b, pauli_block_reference(frame, PauliString(n, int(xi), int(zi))))
 
 
+def test_block_kernel_is_built_once_per_code(rng, monkeypatch):
+    code = _scattered_code(rng)
+    first = (distance(code, 2), correction_condition(code, squdit_errors(code.n, 1)))
+    built = []
+    monkeypatch.setattr(_PauliBlocks, "__init__", lambda *a: built.append(a))
+    again = (distance(code, 2), correction_condition(code, squdit_errors(code.n, 1)))
+    assert built == []
+    assert first[0] == again[0] and first[1].witness == again[1].witness
+    assert np.array_equal(first[1].f_matrix, again[1].f_matrix)
+
+
 def test_block_kernel_refuses_masks_past_int64():
     wide = Frame._unchecked(1 << 63, np.array([0]), np.ones((1, 1), dtype=complex))
     with pytest.raises(ValueError, match="int64"):

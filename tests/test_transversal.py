@@ -15,10 +15,16 @@ from holoqec import (
     pauli_generator_path,
     transversal_holonomy,
 )
+from holoqec.cli import _transversal_path_for_gate
 from holoqec.fivequbit import R3, STABILIZER_LABELS, logical_x, logical_z
 from holoqec.pauli import SIGMA, random_unitary
 from holoqec.transport import NONTRIVIAL_LOGICAL, PHASE_ONLY, NotALoopError
-from holoqec.transversal import TransversalPath, TransversalUnitary
+from holoqec.transversal import (
+    PathSegment,
+    TransversalPath,
+    TransversalUnitary,
+    _expm_antihermitian,
+)
 
 
 def loop_endpoints():
@@ -155,6 +161,37 @@ def r3_path():
     h = scipy.linalg.logm(R3)
     h = 0.5 * (h - h.conj().T)
     return exponential_path((2,) * 5, [h] * 5)
+
+
+def _random_antihermitian(rng, m, d):
+    a = rng.normal(size=(m, d, d)) + 1j * rng.normal(size=(m, d, d))
+    return a - a.conj().transpose(0, 2, 1)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_site_exponential_matches_scipy_expm(rng, d):
+    hs = _random_antihermitian(rng, 20, d)
+    stacked = _expm_antihermitian(hs)
+    for h, u in zip(hs, stacked):
+        single = _expm_antihermitian(h[None])[0]
+        for got in (single, u):
+            assert np.max(np.abs(got - scipy.linalg.expm(h))) < 1e-13
+            assert np.max(np.abs(got.conj().T @ got - np.eye(d))) < 1e-13
+
+
+def test_mixed_dimension_path_matches_scipy_expm(rng):
+    """Sites of different dimensions are exponentiated in separate batches, in path order."""
+    (h2,), (h3, g3) = _random_antihermitian(rng, 1, 2), _random_antihermitian(rng, 2, 3)
+    path = TransversalPath((2, 3), (PathSegment((h2, h3)), PathSegment((None, g3))))
+    u = path.evaluate(0.75)  # all of the first segment, half of the second
+    expected = (scipy.linalg.expm(h2), scipy.linalg.expm(g3 / 2) @ scipy.linalg.expm(h3))
+    for got, ref in zip(u.factors, expected):
+        assert np.max(np.abs(got - ref)) < 1e-13
+
+
+def test_cli_r3_generator_matches_scipy_logm():
+    h = _transversal_path_for_gate("R3").segments[0].generators[0]
+    assert np.max(np.abs(h - scipy.linalg.logm(R3))) < 1e-13
 
 
 def test_r3_site_matrix_cycles_paulis():
