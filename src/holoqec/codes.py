@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ErrorSet, pauli_bits, squdit_errors
-from .frames import Frame, check_dense_size
+from .frames import Frame, check_dense_size, common_rows
 from .pauli import PauliString, apply_pauli
 
 __all__ = [
@@ -337,11 +337,11 @@ def distance(
 def logical_action(code: Code, u: PauliString, tol: float = 1e-9) -> np.ndarray:
     """M = F^dagger U F for a Pauli U, valid only when U preserves the codespace.
 
-    Raises NotLogicalError carrying ||(1 - P) U F|| otherwise.
+    Raises NotLogicalError carrying ||(1 - P) U F|| otherwise; reads support rows only.
     """
-    g = apply_pauli(u, code.frame.data)
-    m = code.frame.data.conj().T @ g
-    residual = float(np.linalg.norm(g - code.frame.data @ m))
+    _, (f, g) = common_rows(code.frame, apply_pauli(u, code.frame))
+    m = f.conj().T @ g
+    residual = float(np.linalg.norm(g - f @ m))
     if np.max(np.abs(m.conj().T @ m - np.eye(code.K))) >= tol:
         raise NotLogicalError(residual)
     return m

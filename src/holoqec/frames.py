@@ -91,7 +91,9 @@ class Frame:
             raise ValueError(f"need 1 <= K <= N, got K={k}, N={n}")
         if rows.size and (rows[0] < 0 or rows[-1] >= n or np.any(rows[1:] <= rows[:-1])):
             raise ValueError("row indices must be sorted, distinct and in range(N)")
-        g = vals.conj().T @ vals
+        step = max(1, 2**16 // k)  # 1 MiB row chunks: a chunk's conjugate is the only copy
+        chunks = (vals[i : i + step] for i in range(0, len(vals), step))
+        g = sum(c.conj().T @ c for c in chunks)
         err = np.max(np.abs(g - np.eye(k)))
         if err >= ORTHONORMALITY_TOL:
             raise ValueError(f"columns not orthonormal (max deviation {err:.3e})")

@@ -33,7 +33,6 @@ __all__ = [
     "alpha",
     "beta",
     "interp_matrix",
-    "apply_site_matrix",
     "LocalOperator",
     "SIGMA",
 ]
@@ -249,18 +248,6 @@ def interp_matrix(letter: str, t: float, direction: str = "forward") -> np.ndarr
     if direction == "reverse":
         return (alpha(1 - t) * _I2 + beta(1 - t) * s) @ s
     raise ValueError(f"unknown direction {direction!r}")
-
-
-def apply_site_matrix(u: np.ndarray, site: int, v: np.ndarray, n: int) -> np.ndarray:
-    """Apply a 2x2 matrix on one qubit of a state (N,) or frame (N, K)."""
-    N = 1 << n
-    cols = 1 if v.ndim == 1 else v.shape[1]
-    w = v.reshape([2] * n + ([cols] if v.ndim == 2 else []))
-    axis = n - 1 - site  # little-endian: site j is axis n-1-j
-    w = np.moveaxis(w, axis, 0)
-    w = np.tensordot(u, w, axes=(1, 0))
-    w = np.moveaxis(w, 0, axis)
-    return np.ascontiguousarray(w.reshape(v.shape))
 
 
 @dataclass(frozen=True)

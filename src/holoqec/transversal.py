@@ -2,23 +2,26 @@
 tangent algebra, projectively-trivial-action probes, and holonomies of
 transversal loops.
 
-Everything here stays in per-site factors; matrix exponentials act on the
-small site blocks only, never on the 2^n-dimensional space.  A site
-exponential is exp(H) = V diag(e^{iw}) V^dagger with (w, V) the eigenpairs of
-the Hermitian -iH, and a path evaluates all of its non-idle (segment, site)
-generators in one batched ``np.linalg.eigh`` per site dimension.
+Everything here stays in per-site factors of any dimensions d_j, site j the
+digit of weight d_0 ... d_{j-1} in a row index.  One site contraction,
+``m @ arr.reshape(-1, d_j, d_0 ... d_{j-1} K)``, applies a matrix or a stack
+of them to an (N,) or (N, K) array.  A site exponential is exp(H) =
+V diag(e^{iw}) V^dagger with (w, V) the eigenpairs of the Hermitian -iH, one
+batched ``np.linalg.eigh`` per path and site dimension.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Sequence
 
 import numpy as np
 
 from .codes import Code
 from .frames import Frame
-from .pauli import SIGMA, PauliString, apply_site_matrix
+from .pauli import SIGMA, PauliString
 from .transport import FlatnessReport, HolonomyResult, classify
 
 __all__ = [
@@ -44,6 +47,13 @@ def _expm_antihermitian(h: np.ndarray) -> np.ndarray:
     return (v * np.exp(1j * w)[:, None, :]) @ v.conj().transpose(0, 2, 1)
 
 
+def _on_site(m: np.ndarray, j: int, dims: Sequence[int], arr: np.ndarray) -> np.ndarray:
+    """A (d_j, d_j) matrix, or each of a (..., d_j, d_j) stack, applied to site j of arr."""
+    inner = math.prod(dims[:j]) * math.prod(arr.shape[1:])
+    out = m[..., None, :, :] @ arr.reshape(-1, dims[j], inner)
+    return out.reshape(m.shape[:-2] + arr.shape)
+
+
 @dataclass(frozen=True)
 class TransversalUnitary:
     """A tensor product of per-site unitaries; factor j is d_j x d_j."""
@@ -56,20 +66,18 @@ class TransversalUnitary:
                 raise ValueError("transversal factors must be unitary")
 
     @property
-    def n(self) -> int:
-        return len(self.factors)
-
-    @property
     def dims(self) -> tuple[int, ...]:
         return tuple(f.shape[0] for f in self.factors)
 
     def apply(self, arr: np.ndarray) -> np.ndarray:
-        if any(d != 2 for d in self.dims):
-            raise NotImplementedError("vector application implemented for qubits")
+        """The product of the factors applied to an (N,) or (N, K) array."""
+        dims = self.dims
+        if (N := math.prod(dims)) != arr.shape[0]:
+            raise ValueError(f"site dims {dims} need {N} rows, got {arr.shape[0]}")
         out = arr
         for j, f in enumerate(self.factors):
-            if not np.array_equal(f, np.eye(2)):
-                out = apply_site_matrix(f, j, out, self.n)
+            if not np.array_equal(f, np.eye(dims[j])):
+                out = _on_site(f, j, dims, out)
         return out
 
     def __matmul__(self, other: "TransversalUnitary") -> "TransversalUnitary":
@@ -103,6 +111,8 @@ class TransversalPath:
             if len(seg.generators) != len(self.dims):
                 raise ValueError("segment arity does not match site count")
             for h, d in zip(seg.generators, self.dims):
+                if h is not None and np.shape(h) != (d, d):
+                    raise ValueError(f"a generator on a {d}-level site must be {d} x {d}")
                 if h is not None and np.max(np.abs(h + h.conj().T)) > 1e-10:
                     raise ValueError("generators must be anti-Hermitian")
 
@@ -187,8 +197,9 @@ def exponential_path(
 # -- tangent algebra of the logical transversal subgroup ---------------------
 
 
-def _antiherm_site_basis(d: int) -> list[np.ndarray]:
-    """Orthonormal real basis of anti-Hermitian d x d matrices (d^2 elements)."""
+@cache
+def _antiherm_site_basis(d: int) -> np.ndarray:
+    """Orthonormal real basis of anti-Hermitian d x d matrices: a read-only (d^2, d, d) stack."""
     out = []
     for k in range(d):
         m = np.zeros((d, d), dtype=complex)
@@ -204,7 +215,9 @@ def _antiherm_site_basis(d: int) -> list[np.ndarray]:
             m[k, l] = 1j
             m[l, k] = 1j
             out.append(m / np.sqrt(2))
-    return out
+    stack = np.array(out)
+    stack.setflags(write=False)
+    return stack
 
 
 @dataclass(frozen=True)
@@ -223,10 +236,9 @@ class LieAlgebraBasis:
         out: list[np.ndarray | None] = []
         pos = 0
         for d in self.site_dims:
-            h = np.zeros((d, d), dtype=complex)
-            for b in _antiherm_site_basis(d):
-                h = h + coeffs[pos] * b
-                pos += 1
+            basis = _antiherm_site_basis(d).reshape(d * d, d * d)
+            h = (coeffs[pos : pos + d * d] @ basis).reshape(d, d)
+            pos += d * d
             out.append(h if np.max(np.abs(h)) > 1e-14 else None)
         return out
 
@@ -248,15 +260,12 @@ def fl_lie_algebra(code: Code, sv_cutoff: float = 1e-10) -> LieAlgebraBasis:
     """
     fdata = code.frame.data
     n_params = sum(d * d for d in code.qudit_dims)
-    cols = []
+    cols = []  # per site, one column of a per basis element: the SVD nullspace reads this order
     for j, d in enumerate(code.qudit_dims):
-        if d != 2:
-            raise NotImplementedError("site application implemented for qubits")
-        for b in _antiherm_site_basis(d):
-            hv = apply_site_matrix(b, j, fdata, code.n)
-            resid = hv - fdata @ (fdata.conj().T @ hv)
-            cols.append(np.concatenate([resid.real.ravel(), resid.imag.ravel()]))
-    a = np.column_stack(cols)
+        hv = _on_site(_antiherm_site_basis(d), j, code.qudit_dims, fdata)
+        resid = (hv - fdata @ (fdata.conj().T @ hv)).reshape(d * d, -1)
+        cols.append(np.concatenate([resid.real, resid.imag], axis=1))
+    a = np.concatenate(cols).T
     u, s, vt = np.linalg.svd(a, full_matrices=True)
     null_rows = vt[np.concatenate([s, np.zeros(n_params - len(s))]) <= sv_cutoff]
     return LieAlgebraBasis(code.qudit_dims, null_rows)
@@ -343,7 +352,7 @@ def flatness_probe_transversal(
         worst = max(worst, _phase_adjusted_deviation(m1, m2))
 
         gens = basis.random_element(rng)
-        pre = exponential_path((2,) * code.n, gens)
+        pre = exponential_path(code.qudit_dims, gens)
         m3 = transversal_holonomy(code, pre.compose(path1)).logical
         worst = max(worst, _phase_adjusted_deviation(m1, m3))
     return FlatnessReport(trials, worst, tol)

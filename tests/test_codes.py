@@ -19,11 +19,12 @@ from holoqec import (
     logical_action,
     squdit_errors,
 )
+from holoqec import toric as tt
 from holoqec.codes import _UNITS, _PauliBlocks, _Products, _weight_class
 from holoqec.errors import GeoLattice, conjugated_error_set, geolocal_errors
 from holoqec.fivequbit import logical_x, logical_z, stabilizer_generators
 from holoqec.frames import DenseSizeError
-from holoqec.pauli import random_unitary
+from holoqec.pauli import apply_pauli, random_unitary
 
 
 def dense_correction_oracle(code, errors, tol=1e-9):
@@ -140,6 +141,28 @@ def test_logical_action_multiplicative(code5):
     lhs = logical_action(code5, x5 * z5)
     rhs = logical_action(code5, x5) @ logical_action(code5, z5)
     assert np.max(np.abs(lhs - rhs)) < 1e-10
+
+
+def cycle_strings(lat):
+    """Z on the primal row y = 0 and X on the dual column that crosses it at edge (0, 0, h)."""
+    n = lat.n_edges
+    row = sum(1 << lat.edge_index(tt.Edge(x, 0, "h")) for x in range(lat.L))
+    col = sum(1 << lat.edge_index(tt.Edge(0, y, "h")) for y in range(lat.L))
+    return PauliString(n, 0, row), PauliString(n, col, 0)
+
+
+def test_logical_action_on_support_rows_equals_dense(toric3):
+    frame = toric3.code.frame
+    z_row, x_col = cycle_strings(toric3.lat)
+    for p in (z_row, x_col, x_col * z_row):
+        dense = frame.data.conj().T @ apply_pauli(p, frame.data)
+        assert np.max(np.abs(logical_action(toric3.code, p) - dense)) < 1e-15
+    bad = PauliString.single(toric3.n, 0, "X")
+    with pytest.raises(NotLogicalError) as err:
+        logical_action(toric3.code, bad)
+    g = apply_pauli(bad, frame.data)
+    dense_residual = np.linalg.norm(g - frame.data @ (frame.data.conj().T @ g))
+    assert abs(err.value.residual - dense_residual) < 1e-12
 
 
 def test_logical_action_rejects_non_preserving(code5):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -159,3 +161,32 @@ def test_dense_view_guard():
     f = Frame.from_rows(1 << 26, [0, 5], np.eye(2, dtype=complex))
     with pytest.raises(DenseSizeError, match="dense view"):
         f.data
+
+
+def _spread_block(rows: int, k: int) -> np.ndarray:
+    """An orthonormal rows x k block with one non-zero entry in every row."""
+    vals = np.zeros((rows, k), dtype=complex)
+    for c in range(k):
+        vals[c::k, c] = 1.0 / np.sqrt(rows // k)
+    return vals
+
+
+def test_orthonormality_check_stays_bounded_on_a_large_block():
+    """The Gram matrix is summed over row chunks, never over a conjugate copy of the block."""
+    vals = _spread_block(1 << 17, 4)  # 8 MiB
+    rows = np.arange(vals.shape[0])
+    tracemalloc.start()
+    try:
+        f = Frame.from_rows(vals.shape[0], rows, vals)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f.vals is vals
+    assert peak < 0.25 * vals.nbytes
+
+
+def test_orthonormality_check_sees_every_chunk():
+    vals = _spread_block(1 << 17, 4)
+    vals[-1, 0] = 1e-3  # breaks orthogonality in the last rows only
+    with pytest.raises(ValueError, match="orthonormal"):
+        Frame.from_rows(vals.shape[0], np.arange(vals.shape[0]), vals)

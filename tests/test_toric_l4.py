@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from holoqec import DenseSizeError, correction_condition, distance
+from holoqec import DenseSizeError, PauliString, correction_condition, distance, logical_action
 from holoqec import toric as tt
 from holoqec.errors import GeoLattice, geolocal_errors
 from holoqec.transport import NONTRIVIAL_LOGICAL, PHASE_ONLY
@@ -56,6 +56,20 @@ def test_torus_loops_are_logicals_and_crossing_pairs_anticommute(toric4):
         assert np.max(np.abs(res.logical @ res.logical + eye)) < 1e-10
     res, _ = tt.monodromy(toric4, [tt.FullBraid(("primal", 0), ("dual", 1))])
     assert res.classification == PHASE_ONLY and np.isclose(res.phase, -1.0)
+
+
+def test_logical_action_answers_without_the_dense_view():
+    """Crossing Z and X cycles of the defect-free L = 4 code are anticommuting logicals."""
+    tc = tt.build_code(tt.TorusLattice(4), tt.DefectConfig((), ()), separation=0)
+    n, L = tc.n, tc.lat.L
+    row = sum(1 << tc.lat.edge_index(tt.Edge(x, 0, "h")) for x in range(L))
+    col = sum(1 << tc.lat.edge_index(tt.Edge(0, y, "h")) for y in range(L))
+    mz = logical_action(tc.code, PauliString(n, 0, row))
+    mx = logical_action(tc.code, PauliString(n, col, 0))
+    eye = np.eye(4)
+    for m in (mz, mx):
+        assert np.max(np.abs(m @ m - eye)) < 1e-12
+    assert np.max(np.abs(mz @ mx + mx @ mz)) < 1e-12
 
 
 def test_flatness_probe(toric4):

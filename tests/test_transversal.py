@@ -23,8 +23,26 @@ from holoqec.transversal import (
     PathSegment,
     TransversalPath,
     TransversalUnitary,
+    _antiherm_site_basis,
     _expm_antihermitian,
 )
+
+
+def site_operator(h, j, dims):
+    """Dense oracle: h on site j, identity elsewhere; site 0 is the rightmost Kronecker factor."""
+    out = np.eye(1)
+    for k in reversed(range(len(dims))):
+        out = np.kron(out, h if k == j else np.eye(dims[k]))
+    return out
+
+
+def repetition_code(d, n):
+    """span{|k...k>}: column k is the row sum_j k d^j."""
+    dims = (d,) * n
+    data = np.zeros((d**n, d), dtype=complex)
+    for k in range(d):
+        data[sum(k * d**j for j in range(n)), k] = 1.0
+    return Code(Frame(data), dims)
 
 
 def loop_endpoints():
@@ -64,9 +82,7 @@ def test_five_qubit_algebra_is_site_phases(code5):
         for j, h in enumerate(gens):
             if h is None:
                 continue
-            from holoqec.pauli import apply_site_matrix
-
-            hv = hv + apply_site_matrix(h, j, fdata, 5)
+            hv = hv + site_operator(h, j, code5.qudit_dims) @ fdata
         resid = hv - fdata @ (fdata.conj().T @ hv)
         assert np.max(np.abs(resid)) < 1e-10
         # restriction to the codespace is i theta 1
@@ -74,6 +90,65 @@ def test_five_qubit_algebra_is_site_phases(code5):
         theta = np.trace(m) / 2
         assert abs(theta.real) < 1e-10
         assert np.max(np.abs(m - theta * np.eye(2))) < 1e-10
+
+
+def test_site_basis_is_one_read_only_stack_per_dimension():
+    for d in (2, 3):
+        b = _antiherm_site_basis(d)
+        assert b.shape == (d * d, d, d) and not b.flags.writeable
+        assert _antiherm_site_basis(d) is b
+        assert np.array_equal(b + b.conj().transpose(0, 2, 1), np.zeros_like(b))
+        gram = np.einsum("aij,bij->ab", b.conj(), b).real
+        assert np.max(np.abs(gram - np.eye(d * d))) < 1e-15
+
+
+@pytest.mark.parametrize("d, n, dim", [(2, 3, 6), (3, 3, 9)])
+def test_repetition_code_algebra_is_the_diagonal_generators(d, n, dim):
+    """Diagonal site generators keep span{|k...k>}; off-diagonal ones leave it."""
+    code = repetition_code(d, n)
+    basis = fl_lie_algebra(code)
+    assert basis.dimension == dim == n * d
+    fdata = code.frame.data
+    for k in range(basis.dimension):
+        for h in basis.element(k):
+            if h is not None:
+                assert np.max(np.abs(h - np.diag(np.diag(h)))) < 1e-12
+    off = np.zeros((d, d), dtype=complex)
+    off[0, 1], off[1, 0] = 1.0, -1.0
+    hv = site_operator(off, 0, code.qudit_dims) @ fdata
+    assert np.linalg.norm(hv - fdata @ (fdata.conj().T @ hv)) > 0.5
+
+
+def test_qutrit_repetition_code_action_is_not_a_phase():
+    """The code detects no Z-type error, so its diagonal generators act logically."""
+    code = repetition_code(3, 3)
+    rep = check_projectively_trivial_action(code, fl_lie_algebra(code), 10)
+    assert not rep.ok and rep.max_residual > 1e-3
+
+
+def test_apply_on_mixed_dimensions_matches_kron(rng):
+    dims = (3, 2, 2)
+    factors = tuple(random_unitary(d, rng) for d in dims)
+    u = TransversalUnitary(factors)
+    dense = np.kron(np.kron(factors[2], factors[1]), factors[0])
+    for shape in ((12,), (12, 5)):
+        arr = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        assert np.max(np.abs(u.apply(arr) - dense @ arr)) < 1e-13
+
+
+def test_apply_rejects_a_dims_mismatch():
+    u = TransversalUnitary.identity((3, 2))
+    for rows in (4, 12):
+        with pytest.raises(ValueError, match="rows"):
+            u.apply(np.zeros((rows, 2), dtype=complex))
+
+
+def test_path_rejects_wrongly_shaped_generators(rng):
+    (h4,) = _random_antihermitian(rng, 1, 4)
+    with pytest.raises(ValueError, match="2 x 2"):
+        exponential_path((2, 2), [h4, None])
+    with pytest.raises(ValueError, match="3 x 3"):
+        exponential_path((2, 3), [None, _random_antihermitian(rng, 1, 2)[0]])
 
 
 def test_trivial_action_probe(code5, rng):
