@@ -3,7 +3,9 @@
 Verbs: distance, correctable, transversal, toric, report-merge.  A run is
 fully determined by its flags and --seed; reports are byte-identical across
 repeats except for the timestamp field.  Environment variables HOLOQEC_SEED,
-HOLOQEC_TOL, HOLOQEC_THREADS, HOLOQEC_OUT mirror the corresponding flags.
+HOLOQEC_TOL, HOLOQEC_THREADS, HOLOQEC_OUT mirror the corresponding flags; a
+flag left out is read from its variable on every call.  The parser is built
+once per process and reused by every call.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import datetime
 import json
 import os
 import sys
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -38,13 +41,6 @@ from . import toric as tt
 
 SCHEMA_VERSION = 1
 ENV_PREFIX = "HOLOQEC_"
-
-
-def _env_default(name: str, cast, fallback):
-    raw = os.environ.get(ENV_PREFIX + name.upper())
-    if raw is None:
-        return fallback
-    return cast(raw)
 
 
 def _json_default(obj):
@@ -410,12 +406,14 @@ def cmd_report_merge(args) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=_env_default("seed", int, 0))
+    # None marks a flag left out: main reads its HOLOQEC_ variable per call
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--threads", type=int, default=_env_default("threads", int, 1))
-    p.add_argument("--out", default=_env_default("out", str, None))
+    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--out", default=None)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="holoqec", description=__doc__)
     sub = ap.add_subparsers(dest="verb", required=True)
@@ -459,11 +457,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
-    if args.tol is None:
-        args.tol = _env_default("tol", float, args.default_tol)
+    args = build_parser().parse_args(argv)
     try:
+        for name, cast, fallback in (
+            ("seed", int, 0),
+            ("tol", float, args.default_tol),
+            ("threads", int, 1),
+            ("out", str, None),
+        ):
+            if getattr(args, name) is None:
+                raw = os.environ.get(ENV_PREFIX + name.upper())
+                setattr(args, name, fallback if raw is None else cast(raw))
         return args.func(args)
     except (tt.RoutingError, ValueError, EnumerationCapError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

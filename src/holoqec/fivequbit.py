@@ -7,6 +7,8 @@ rather than trusted.
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 from .codes import Code
@@ -41,11 +43,14 @@ def logical_z() -> PauliString:
     return PauliString.from_label("ZZZZZ")
 
 
+@cache
 def five_qubit_code() -> Code:
     """Codespace via the stabilizer projector applied to |00000> and |11111>.
 
     |1_L> = X^5 |0_L| holds exactly because X^5 commutes with every
     generator, so the logical X action in this basis is the exact bit flip.
+    Built once per process: the Code is frozen and its frame read-only, so
+    every caller shares it, and with it the code's Pauli block kernel.
     """
     n = 5
     seeds = [np.zeros(2**n, dtype=complex) for _ in range(2)]

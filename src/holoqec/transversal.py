@@ -61,8 +61,9 @@ class TransversalUnitary:
     factors: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        for f in self.factors:
-            if np.max(np.abs(f.conj().T @ f - np.eye(f.shape[0]))) > UNITARY_TOL:
+        for d in set(self.dims):  # one stacked check per site dimension
+            fs = np.array([f for f in self.factors if f.shape[0] == d])
+            if np.max(np.abs(fs.conj().transpose(0, 2, 1) @ fs - np.eye(d))) > UNITARY_TOL:
                 raise ValueError("transversal factors must be unitary")
 
     @property
@@ -107,14 +108,18 @@ class TransversalPath:
     segments: tuple[PathSegment, ...]
 
     def __post_init__(self):
-        for seg in self.segments:
+        gens: dict[int, list[np.ndarray]] = {}  # per site dimension, over distinct segments
+        for seg in {id(seg): seg for seg in self.segments}.values():  # subdivide repeats one
             if len(seg.generators) != len(self.dims):
                 raise ValueError("segment arity does not match site count")
             for h, d in zip(seg.generators, self.dims):
-                if h is not None and np.shape(h) != (d, d):
-                    raise ValueError(f"a generator on a {d}-level site must be {d} x {d}")
-                if h is not None and np.max(np.abs(h + h.conj().T)) > 1e-10:
-                    raise ValueError("generators must be anti-Hermitian")
+                if h is not None:
+                    if np.shape(h) != (d, d):
+                        raise ValueError(f"a generator on a {d}-level site must be {d} x {d}")
+                    gens.setdefault(d, []).append(h)
+        for hs in map(np.array, gens.values()):
+            if np.max(np.abs(hs + hs.conj().transpose(0, 2, 1))) > 1e-10:
+                raise ValueError("generators must be anti-Hermitian")
 
     def endpoint(self) -> TransversalUnitary:
         return self.evaluate(1.0)
@@ -266,7 +271,8 @@ def fl_lie_algebra(code: Code, sv_cutoff: float = 1e-10) -> LieAlgebraBasis:
         resid = (hv - fdata @ (fdata.conj().T @ hv)).reshape(d * d, -1)
         cols.append(np.concatenate([resid.real, resid.imag], axis=1))
     a = np.concatenate(cols).T
-    u, s, vt = np.linalg.svd(a, full_matrices=True)
+    # U is never read: keep it thin, unless a is wide and a full vt is needed for its nullspace
+    _, s, vt = np.linalg.svd(a, full_matrices=len(a) < n_params)
     null_rows = vt[np.concatenate([s, np.zeros(n_params - len(s))]) <= sv_cutoff]
     return LieAlgebraBasis(code.qudit_dims, null_rows)
 

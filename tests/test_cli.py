@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from holoqec.cli import main
+from holoqec.codes import _PauliBlocks
 
 
 def read_report(path):
@@ -89,6 +91,7 @@ def test_correctable_weight1(tmp_path):
         ["distance", "--code", "toric:L=4", "--max-weight", "1"],
         ["transversal", "lie-dim", "{oom}"],
         ["correctable", "--code", "fivequbit", "--errors", "squdit:s=1", "{small-limit}"],
+        ["transversal", "lie-dim", "{bad-env}"],
     ],
     ids=[
         "toric-build-without-config",
@@ -106,6 +109,7 @@ def test_correctable_weight1(tmp_path):
         "dense-size-guard",
         "out-of-memory",
         "f-matrix-guard",
+        "env-seed-not-an-int",
     ],
 )
 def test_library_errors_exit_2_with_one_line(argv, tmp_path, capsys, monkeypatch):
@@ -121,6 +125,9 @@ def test_library_errors_exit_2_with_one_line(argv, tmp_path, capsys, monkeypatch
     if "{small-limit}" in argv:  # the stored f rows pass a lowered dense bound
         argv = [a for a in argv if a != "{small-limit}"]
         monkeypatch.setattr("holoqec.frames.DENSE_BYTES_LIMIT", 6000)
+    if "{bad-env}" in argv:
+        argv = [a for a in argv if a != "{bad-env}"]
+        monkeypatch.setenv("HOLOQEC_SEED", "seven")
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -265,6 +272,59 @@ def test_env_override_seed(tmp_path, monkeypatch):
     out = tmp_path / "r.json"
     main(["transversal", "trivial-action", "--samples", "5", "--out", str(out)])
     assert read_report(out)["parameters"]["seed"] == 7
+
+
+def test_env_is_read_on_every_call(tmp_path, monkeypatch):
+    argv = ["transversal", "trivial-action", "--samples", "3"]
+    first = tmp_path / "first.json"
+    assert main(argv + ["--out", str(first)]) == 0
+    assert read_report(first)["parameters"]["seed"] == 0
+    out = tmp_path / "env.json"
+    monkeypatch.setenv("HOLOQEC_SEED", "7")
+    monkeypatch.setenv("HOLOQEC_OUT", str(out))
+    monkeypatch.setenv("HOLOQEC_TOL", "0.001")
+    assert main(argv) == 0
+    params = read_report(out)["parameters"]
+    assert params["seed"] == 7 and params["tol"] == 0.001
+    assert read_report(first)["parameters"]["seed"] == 0  # left alone
+
+
+def test_usage_error_leaves_the_next_call_intact(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["distance", "--code", "fivequbit", "--max-weight", "x", "--seed", "5"])
+    assert exc.value.code == 2
+    out = tmp_path / "r.json"
+    assert main(["distance", "--code", "fivequbit", "--max-weight", "3",
+                 "--out", str(out)]) == 0
+    rep = read_report(out)
+    assert rep["parameters"] == {"code": "fivequbit", "max_weight": 3, "tol": 1e-8}
+    assert rep["results"]["delta"] == 3
+
+
+def test_main_reuses_one_parser(tmp_path, monkeypatch):
+    used = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def recording(self, *args, **kwargs):
+        used.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
+    for verb in (["transversal", "lie-dim"], ["distance", "--code", "fivequbit",
+                                              "--max-weight", "1"]):
+        assert main(verb + ["--out", str(tmp_path / "r.json")]) == 0
+    assert len(used) == 2 and used[0] is used[1]
+
+
+def test_correctable_builds_the_five_qubit_kernel_once(tmp_path, monkeypatch):
+    argv = ["correctable", "--code", "fivequbit", "--errors", "squdit:s=2"]
+    outs = [tmp_path / "a.json", tmp_path / "b.json"]
+    assert main(argv + ["--out", str(outs[0])]) == 0
+    built = []
+    monkeypatch.setattr(_PauliBlocks, "__init__", lambda *a: built.append(a))
+    assert main(argv + ["--out", str(outs[1])]) == 0
+    assert built == []
+    assert normalized_bytes(outs[0]) == normalized_bytes(outs[1])
 
 
 def test_determinism_across_runs_and_threads(tmp_path):

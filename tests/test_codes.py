@@ -16,6 +16,7 @@ from holoqec import (
     correction_condition,
     corrects_s_errors,
     distance,
+    five_qubit_code,
     logical_action,
     squdit_errors,
 )
@@ -304,6 +305,14 @@ def test_block_kernel_is_built_once_per_code(rng, monkeypatch):
     assert built == []
     assert first[0] == again[0] and first[1].witness == again[1].witness
     assert np.array_equal(first[1].f_matrix, again[1].f_matrix)
+
+
+def test_five_qubit_code_is_one_read_only_object():
+    code = five_qubit_code()
+    assert five_qubit_code() is code
+    for arr in (code.frame.vals, code.frame.rows):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
 
 
 def test_block_kernel_refuses_masks_past_int64():

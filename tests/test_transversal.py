@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -69,6 +71,30 @@ def test_single_qubit_span0_dimension():
     for k in range(2):
         (h,) = basis.element(k)
         assert abs(h[0, 1]) < 1e-12 and abs(h[1, 0]) < 1e-12
+
+
+def test_single_qutrit_span0_keeps_the_whole_nullspace():
+    # C = span{|0>} on one qutrit: u(1) + u(2) survives, dimension 5.  The
+    # constraint matrix is wide (2 N K = 6 rows, d^2 = 9 parameters), so
+    # a thin SVD alone would return only 6 of the 9 right singular vectors.
+    code = Code(Frame(np.eye(3, dtype=complex)[:, :1]), (3,))
+    basis = fl_lie_algebra(code)
+    assert basis.dimension == 5
+    for k in range(5):
+        (h,) = basis.element(k)
+        assert np.max(np.abs(h[0, 1:])) < 1e-12 and np.max(np.abs(h[1:, 0])) < 1e-12
+
+
+def test_toric_l2_algebra_keeps_no_square_svd_factor(toric2):
+    """A (2NK)^2 U factor would be 32 MiB here; only the nullspace is needed."""
+    tracemalloc.start()
+    try:
+        basis = fl_lie_algebra(toric2.code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert basis.dimension == 8
+    assert peak < 8 * 2**20
 
 
 def test_five_qubit_algebra_is_site_phases(code5):
@@ -149,6 +175,29 @@ def test_path_rejects_wrongly_shaped_generators(rng):
         exponential_path((2, 2), [h4, None])
     with pytest.raises(ValueError, match="3 x 3"):
         exponential_path((2, 3), [None, _random_antihermitian(rng, 1, 2)[0]])
+
+
+def test_unitary_rejects_a_non_unitary_factor_in_mixed_dims(rng):
+    factors = [random_unitary(d, rng) for d in (2, 3, 2)]
+    assert TransversalUnitary(tuple(factors)).dims == (2, 3, 2)
+    for j in range(3):
+        bad = list(factors)
+        bad[j] = 1.01 * bad[j]
+        with pytest.raises(ValueError, match="unitary"):
+            TransversalUnitary(tuple(bad))
+
+
+def test_path_checks_every_distinct_segment(rng):
+    """Segment tuples as compose (distinct segments) and subdivide (one
+    segment repeated) build them: a bad generator raises wherever it sits."""
+    dims = (2, 3, 2)
+    good = PathSegment(tuple(_random_antihermitian(rng, 1, d)[0] for d in dims))
+    hermitian = PathSegment((None, np.eye(3, dtype=complex), None))
+    misshaped = PathSegment((None, None, _random_antihermitian(rng, 1, 3)[0]))
+    for seg, match in ((hermitian, "anti-Hermitian"), (misshaped, "2 x 2")):
+        for segs in ((good, seg), (good, good, seg), (seg,) * 3, (seg, good, seg)):
+            with pytest.raises(ValueError, match=match):
+                TransversalPath(dims, segs)
 
 
 def test_trivial_action_probe(code5, rng):
