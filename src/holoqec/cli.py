@@ -466,8 +466,12 @@ def main(argv=None) -> int:
             ("out", str, None),
         ):
             if getattr(args, name) is None:
-                raw = os.environ.get(ENV_PREFIX + name.upper())
-                setattr(args, name, fallback if raw is None else cast(raw))
+                var = ENV_PREFIX + name.upper()
+                raw = os.environ.get(var)
+                try:
+                    setattr(args, name, fallback if raw is None else cast(raw))
+                except ValueError as exc:
+                    raise ValueError(f"{var}={raw!r}: {exc}") from None
         return args.func(args)
     except (tt.RoutingError, ValueError, EnumerationCapError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

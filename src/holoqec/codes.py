@@ -116,9 +116,10 @@ class NotLogicalError(ValueError):
 
 
 # Working-set bound of the block kernel on an R-row, K-column frame: one step
-# gathers and signs _CHUNK_BYTES // (16 R K) blocks' R x K rows, and a scan
-# hands the kernel _CHUNK_BYTES // (16 R) Paulis at a time, whose row indices
-# (12 bytes per Pauli and row) fit in the same bound.
+# signs _CHUNK_BYTES // (16 R K) copies of the K x R block F^dagger, one per
+# Pauli, across as many x as those Paulis hold; a scan hands the kernel
+# _CHUNK_BYTES // (16 R) Paulis at a time, whose row indices (12 bytes per
+# Pauli and row) fit in the same bound.
 _CHUNK_BYTES = 8 * 2**20
 # i^k for k = 0..3, and (-1)^k for k = 0, 1
 _UNITS = np.array([1, 1j, -1, -1j])
@@ -131,16 +132,19 @@ class _PauliBlocks:
     B[i,j] = sum_m conj(F[m,i]) (-1)^{popcount((m^x)&z)} F[m^x, j], and only
     rows m in the support contribute.  F[m^x] is gathered through an int32
     map from row index to block position, in which rows off the support
-    point at one padded zero row.  The map, the padded block and its
-    conjugate transpose are fixed per frame; ``Code._blocks`` builds them
+    point at one padded zero row.  The map, the padded block and the
+    contiguous F^dagger are fixed per frame; ``Code._blocks`` builds them
     once per code.
 
     When X^x maps no support row onto the support, every block with that x
     is exactly zero and nothing is gathered; for a toric frame that is most
-    x.  Otherwise the rows are gathered once per x and that x's z signs are
-    applied ``chunk`` blocks at a time.  Callers pass ``width`` Paulis per
-    call.  x and z are held as int64: the map's DenseSizeError already caps
-    n at 26, and n > 62 is refused.
+    x.  The other Paulis are taken in order of x, ``chunk`` per step.  A
+    step folds each Pauli's sign (-1)^{|m&z|} (-1)^{|x&z|} into its own copy
+    of F^dagger, which is exact, and multiplies each run of equal x by that
+    x's rows, gathered once: a narrow frame spans many x in one step, a wide
+    one gathers once per x.  Callers pass ``width`` Paulis per call.  x and
+    z are held as int64: the map's DenseSizeError already caps n at 26, and
+    n > 62 is refused.
     """
 
     def __init__(self, frame: Frame):
@@ -153,7 +157,7 @@ class _PauliBlocks:
         self.pos = np.full(frame.N, r, dtype=np.int32)
         self.pos[frame.rows] = np.arange(r, dtype=np.int32)
         self.padded = np.vstack([frame.vals, np.zeros((1, frame.K), dtype=complex)])
-        self.left = frame.vals.conj().T
+        self.left = np.ascontiguousarray(frame.vals.conj().T)
 
     @property
     def width(self) -> int:
@@ -165,15 +169,19 @@ class _PauliBlocks:
         chunk = max(1, _CHUNK_BYTES // (16 * r * k))
         out = np.zeros((x.size, k, k), dtype=complex)
         xs, inverse = np.unique(x, return_inverse=True)
-        src = self.rows ^ xs[:, None]
-        at = self.pos.take(src)
-        for u in np.flatnonzero((at < r).any(axis=1)):
-            right = self.padded.take(at[u], axis=0)
-            members = np.flatnonzero(inverse == u)
-            for lo in range(0, members.size, chunk):
-                part = members[lo : lo + chunk]
-                par = np.bitwise_count(src[u] & z[part, None]) & 1
-                out[part] = self.left @ (right * (1.0 - 2.0 * par)[:, :, None])
+        at = self.pos.take(self.rows ^ xs[:, None])
+        todo = np.flatnonzero((at < r).any(axis=1)[inverse])
+        todo = todo[np.argsort(inverse[todo], kind="stable")]
+        for lo in range(0, todo.size, chunk):
+            part = todo[lo : lo + chunk]
+            zp = z[part]
+            par = np.bitwise_count(self.rows & zp[:, None])  # |(m^x)&z| = |m&z| + |x&z| mod 2
+            par += np.bitwise_count(x[part] & zp)[:, None]
+            signed = self.left * (1 - 2 * (par & 1).view(np.int8)).astype(float)[:, None, :]
+            u = inverse[part]
+            cuts = np.flatnonzero(u[1:] != u[:-1]) + 1
+            for i, j in zip([0, *cuts], [*cuts, part.size]):
+                out[part[i:j]] = signed[i:j] @ self.padded.take(at[u[i]], axis=0)
         return out
 
 

@@ -53,6 +53,8 @@ class Frame:
     ``Frame(dense)`` keeps the rows of ``dense`` with any non-zero entry;
     ``Frame.from_rows(N, rows, vals)`` builds one from sorted distinct rows and
     their R x K values.  Both check orthonormality on the stored block.
+    A stored frame is immutable: its arrays are read-only and its attributes
+    cannot be rebound, so a shared frame, and a kernel built from it, stays valid.
     """
 
     __slots__ = ("N", "rows", "vals")
@@ -105,7 +107,14 @@ class Frame:
     def _store(self, n: int, rows: np.ndarray, vals: np.ndarray) -> None:
         rows.setflags(write=False)
         vals.setflags(write=False)
-        self.N, self.rows, self.vals = n, rows, vals
+        for name, value in (("N", n), ("rows", rows), ("vals", vals)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Frame is immutable: cannot set {name!r}")
+
+    def __reduce__(self):  # copy and pickle rebuild through _store
+        return Frame._unchecked, (self.N, self.rows, self.vals)
 
     @property
     def K(self) -> int:

@@ -92,6 +92,7 @@ def test_correctable_weight1(tmp_path):
         ["transversal", "lie-dim", "{oom}"],
         ["correctable", "--code", "fivequbit", "--errors", "squdit:s=1", "{small-limit}"],
         ["transversal", "lie-dim", "{bad-env}"],
+        ["transversal", "lie-dim", "{bad-tol}"],
     ],
     ids=[
         "toric-build-without-config",
@@ -110,6 +111,7 @@ def test_correctable_weight1(tmp_path):
         "out-of-memory",
         "f-matrix-guard",
         "env-seed-not-an-int",
+        "env-tol-not-a-float",
     ],
 )
 def test_library_errors_exit_2_with_one_line(argv, tmp_path, capsys, monkeypatch):
@@ -125,13 +127,20 @@ def test_library_errors_exit_2_with_one_line(argv, tmp_path, capsys, monkeypatch
     if "{small-limit}" in argv:  # the stored f rows pass a lowered dense bound
         argv = [a for a in argv if a != "{small-limit}"]
         monkeypatch.setattr("holoqec.frames.DENSE_BYTES_LIMIT", 6000)
-    if "{bad-env}" in argv:
-        argv = [a for a in argv if a != "{bad-env}"]
-        monkeypatch.setenv("HOLOQEC_SEED", "seven")
+    named = None  # a malformed variable's message names it and its value
+    for mark, var, raw in (
+        ("{bad-env}", "HOLOQEC_SEED", "seven"),
+        ("{bad-tol}", "HOLOQEC_TOL", "abc"),
+    ):
+        if mark in argv:
+            argv = [a for a in argv if a != mark]
+            monkeypatch.setenv(var, raw)
+            named = f"error: {var}='{raw}': "
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert named is None or err.startswith(named)
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):

@@ -1,3 +1,4 @@
+import pickle
 import time
 import tracemalloc
 from functools import reduce
@@ -267,10 +268,25 @@ def _scattered_code(rng, n=6, r=24, k=3):
     return Code(Frame.from_rows(1 << n, rows, q), (2,) * n)
 
 
-@pytest.mark.parametrize("fixture", ["code5", "toric2", "toric3", "toric3_two_dual", "scattered"])
+# (n, R, K) of the _scattered_code frames: K = 1 takes numpy's dot path for
+# every block, and R = 64 on n = 6 stores every row
+_SCATTERED = {
+    "scattered": (6, 24, 3),
+    "scattered-K1": (6, 24, 1),
+    "dense-K1": (6, 64, 1),
+    "scattered-wide": (10, 600, 5),
+}
+
+
+@pytest.mark.parametrize(
+    "fixture", ["code5", "toric2", "toric3", "toric3_two_dual", *_SCATTERED]
+)
 def test_block_kernel_equals_per_pauli_reference(fixture, request, rng):
-    code = _scattered_code(rng) if fixture == "scattered" else request.getfixturevalue(fixture)
-    code = getattr(code, "code", code)
+    if fixture in _SCATTERED:
+        code = _scattered_code(rng, *_SCATTERED[fixture])
+    else:
+        code = request.getfixturevalue(fixture)
+        code = getattr(code, "code", code)
     kernel = _PauliBlocks(code.frame)
     x, z, k = _random_products(code.frame, code.n, 300, rng)
     got = _UNITS[k][:, None, None] * kernel.blocks(x, z)
@@ -281,6 +297,22 @@ def test_block_kernel_equals_per_pauli_reference(fixture, request, rng):
         assert np.array_equal(got[i], ref)
         nonzero += bool(np.any(ref))
     assert nonzero > 0
+
+
+@pytest.mark.parametrize("fixture", ["code5", "toric3"])
+def test_block_kernel_is_invariant_under_reordering(fixture, request, rng):
+    code = request.getfixturevalue(fixture)
+    code = getattr(code, "code", code)
+    frame, n = code.frame, code.n
+    x, z, _ = _random_products(frame, n, 200, rng)
+    again = rng.integers(0, x.size, 100)  # repeated (x, z) entries
+    x, z = np.concatenate([x, x[again]]), np.concatenate([z, z[again]])
+    live = sum(np.isin(frame.rows ^ v, frame.rows).any() for v in x)
+    assert live == x.size if fixture == "code5" else 0 < live < x.size
+    kernel = _PauliBlocks(frame)
+    blocks = kernel.blocks(x, z)
+    perm = rng.permutation(x.size)
+    assert np.array_equal(kernel.blocks(x[perm], z[perm]), blocks[perm])
 
 
 def test_block_kernel_zero_when_x_misses_the_support(toric3, rng):
@@ -313,6 +345,15 @@ def test_five_qubit_code_is_one_read_only_object():
     for arr in (code.frame.vals, code.frame.rows):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0
+
+
+def test_shared_frame_cannot_be_rebound():
+    code = five_qubit_code()
+    with pytest.raises(AttributeError, match="immutable"):
+        code.frame.vals = code.frame.vals[:, :1]
+    assert five_qubit_code().K == 2
+    again = pickle.loads(pickle.dumps(code.frame))  # a copy is rebuilt through _store
+    assert np.array_equal(again.vals, code.frame.vals) and not again.vals.flags.writeable
 
 
 def test_block_kernel_refuses_masks_past_int64():
