@@ -15,7 +15,7 @@ import datetime
 import json
 import os
 import sys
-from functools import cache
+from functools import cache, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -84,17 +84,19 @@ def _spec_params(spec: str, *required: str) -> dict[str, str]:
     return params
 
 
+@lru_cache(maxsize=4)
+def _toric_code(L: int, s: int):
+    """The defect-free code of a ``toric:L=...,s=...`` spec: built once per (L, s)
+    and shared, frozen and read-only, with its block kernel and generator check."""
+    return tt.build_code(tt.TorusLattice(L), tt.DefectConfig((), ()), separation=s)
+
+
 def _load_code(spec: str):
     if spec == "fivequbit":
         return five_qubit_code(), None
     if spec.startswith("toric:"):
         params = _spec_params(spec, "L")
-        L = int(params["L"])
-        s = int(params.get("s", 0))
-        lat = tt.TorusLattice(L)
-        primal = tuple()
-        dual = tuple()
-        tc = tt.build_code(lat, tt.DefectConfig(primal, dual), separation=s)
+        tc = _toric_code(int(params["L"]), int(params.get("s", 0)))
         return tc.code, tc
     path = Path(spec)
     if path.exists():

@@ -7,8 +7,9 @@ of the identity on the logical space.  Distance is the least weight of a
 Pauli violating that condition for the single-operator set {P}.
 
 Both scans evaluate Pauli blocks with one batched kernel over the frame's
-support rows.  A block whose X part maps no support row onto the support is
-exactly zero and is never gathered; the correction condition takes each
+support rows.  A block is exactly zero, and never gathered, when the Pauli
+anticommutes with one of the code's stabilizer generators or its X part
+maps no support row onto the support; the correction condition takes each
 error as its exact Pauli expansion and evaluates each distinct product of
 two terms once.  The kernel holds a bounded working set per chunk of Paulis
 (``_CHUNK_BYTES``), and the correction condition keeps one f value per pair
@@ -44,10 +45,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Code:
-    """An ((n, K)) code: a frame plus the per-site dimensions of the register."""
+    """An ((n, K)) code: a frame, the per-site dimensions of the register, and
+    unsigned stabilizer generators S, each with S F = lambda F for a unit lambda."""
 
     frame: Frame
     qudit_dims: tuple[int, ...]
+    stabilizers: tuple[PauliString, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "qudit_dims", tuple(int(d) for d in self.qudit_dims))
@@ -78,7 +81,7 @@ class Code:
     @cached_property
     def _blocks(self) -> _PauliBlocks:
         """The frame's Pauli block kernel, built on first use and kept with the code."""
-        return _PauliBlocks(self.frame)
+        return _PauliBlocks(self.frame, self.stabilizers)
 
 
 @dataclass(frozen=True)
@@ -119,7 +122,8 @@ class NotLogicalError(ValueError):
 # signs _CHUNK_BYTES // (16 R K) copies of the K x R block F^dagger, one per
 # Pauli, across as many x as those Paulis hold; a scan hands the kernel
 # _CHUNK_BYTES // (16 R) Paulis at a time, whose row indices (12 bytes per
-# Pauli and row) fit in the same bound.
+# Pauli and row) fit in the same bound.  The generator test adds 16 bytes per
+# Pauli and generator: g < R / 4 for every code built here.
 _CHUNK_BYTES = 8 * 2**20
 # i^k for k = 0..3, and (-1)^k for k = 0, 1
 _UNITS = np.array([1, 1j, -1, -1j])
@@ -132,13 +136,19 @@ class _PauliBlocks:
     B[i,j] = sum_m conj(F[m,i]) (-1)^{popcount((m^x)&z)} F[m^x, j], and only
     rows m in the support contribute.  F[m^x] is gathered through an int32
     map from row index to block position, in which rows off the support
-    point at one padded zero row.  The map, the padded block and the
-    contiguous F^dagger are fixed per frame; ``Code._blocks`` builds them
-    once per code.
+    point at one padded zero row.  The map, the padded block, the
+    contiguous F^dagger and the code's generators are fixed per frame;
+    ``Code._blocks`` builds them once per code, and checks that each
+    generator S has S F = lambda F exactly for a unit lambda, or raises
+    ValueError naming S.
 
-    When X^x maps no support row onto the support, every block with that x
-    is exactly zero and nothing is gathered; for a toric frame that is most
-    x.  The other Paulis are taken in order of x, ``chunk`` per step.  A
+    A Pauli with an odd symplectic product popcount((x & gz) ^ (z & gx))
+    with some generator has B = lambda^-1 F^dagger P S F = -B = 0; it is
+    dropped before any other work.  When X^x maps no support row onto the
+    support, every block with that x is exactly zero and nothing is
+    gathered; for a toric frame that is most x.
+
+    The other Paulis are taken in order of x, ``chunk`` per ``_step``.  A
     step folds each Pauli's sign (-1)^{|m&z|} (-1)^{|x&z|} into its own copy
     of F^dagger, which is exact, and multiplies each run of equal x by that
     x's rows, gathered once: a narrow frame spans many x in one step, a wide
@@ -147,11 +157,19 @@ class _PauliBlocks:
     n > 62 is refused.
     """
 
-    def __init__(self, frame: Frame):
+    def __init__(self, frame: Frame, stabilizers: Sequence[PauliString] = ()):
         self.n = frame.N.bit_length() - 1
         if self.n > 62:
             raise ValueError(f"Pauli bit masks are int64; n = {self.n} qubits is too many")
         check_dense_size(4 * frame.N, "the row-position map of a frame")
+        for s in stabilizers:
+            image = apply_pauli(s, frame)
+            if not np.array_equal(image.rows, frame.rows) or not any(
+                np.array_equal(image.vals, u * frame.vals) for u in _UNITS
+            ):
+                raise ValueError(f"{s!r} does not fix the code's frame up to a unit")
+        self.gx = np.array([s.x_bits for s in stabilizers], dtype=np.int64)
+        self.gz = np.array([s.z_bits for s in stabilizers], dtype=np.int64)
         r = frame.rows.size
         self.rows = frame.rows
         self.pos = np.full(frame.N, r, dtype=np.int32)
@@ -168,20 +186,29 @@ class _PauliBlocks:
         k, r = self.left.shape
         chunk = max(1, _CHUNK_BYTES // (16 * r * k))
         out = np.zeros((x.size, k, k), dtype=complex)
-        xs, inverse = np.unique(x, return_inverse=True)
+        odd = x[:, None] & self.gz  # the symplectic product with each generator
+        odd ^= z[:, None] & self.gx
+        keep = np.flatnonzero(~(np.bitwise_count(odd) & 1).any(axis=1))
+        xs, inverse = np.unique(x[keep], return_inverse=True)
         at = self.pos.take(self.rows ^ xs[:, None])
         todo = np.flatnonzero((at < r).any(axis=1)[inverse])
         todo = todo[np.argsort(inverse[todo], kind="stable")]
         for lo in range(0, todo.size, chunk):
             part = todo[lo : lo + chunk]
-            zp = z[part]
-            par = np.bitwise_count(self.rows & zp[:, None])  # |(m^x)&z| = |m&z| + |x&z| mod 2
-            par += np.bitwise_count(x[part] & zp)[:, None]
-            signed = self.left * (1 - 2 * (par & 1).view(np.int8)).astype(float)[:, None, :]
-            u = inverse[part]
-            cuts = np.flatnonzero(u[1:] != u[:-1]) + 1
-            for i, j in zip([0, *cuts], [*cuts, part.size]):
-                out[part[i:j]] = signed[i:j] @ self.padded.take(at[u[i]], axis=0)
+            i = keep[part]
+            out[i] = self._step(x[i], z[i], at, inverse[part])
+        return out
+
+    def _step(self, x: np.ndarray, z: np.ndarray, at: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """The blocks of X^x[i] Z^z[i], sorted by x, whose x gathers the rows at[u[i]]."""
+        par = np.bitwise_count(self.rows & z[:, None])  # |(m^x)&z| = |m&z| + |x&z| mod 2
+        par += np.bitwise_count(x & z)[:, None]
+        signed = self.left * (1 - 2 * (par & 1).view(np.int8)).astype(float)[:, None, :]
+        cuts = np.flatnonzero(u[1:] != u[:-1]) + 1
+        k = self.left.shape[0]
+        out = np.empty((x.size, k, k), dtype=complex)
+        for i, j in zip([0, *cuts], [*cuts, x.size]):
+            out[i:j] = signed[i:j] @ self.padded.take(at[u[i]], axis=0)
         return out
 
 

@@ -66,4 +66,4 @@ def five_qubit_code() -> Code:
     frame = orthonormalize(vecs)
     if frame.K != 2:
         raise AssertionError("five-qubit construction must yield K = 2")
-    return Code(frame, (2,) * n)
+    return Code(frame, (2,) * n, gens)

@@ -18,6 +18,7 @@ import numpy as np
 
 from ..codes import Code
 from ..frames import Frame, check_dense_size
+from ..pauli import PauliString
 from .lattice import (
     DEFAULT_SEPARATION,
     DefectConfig,
@@ -118,6 +119,8 @@ def build_code(
 ) -> ToricCode:
     """Build the K = 4 eigenspace for a defect configuration.
 
+    The code's stabilizer generators are L^2 - 1 stars and L^2 - 1 plaquettes.
+
     Raises ParityError for odd defect counts (caught by DefectConfig) and
     ConfigError when the hard-core condition fails at ``separation``.
     """
@@ -162,4 +165,8 @@ def build_code(
     vals = np.zeros((rows.size, len(seeds)), dtype=complex)
     vals[np.arange(rows.size), order // size] = signs[order % size] / np.sqrt(size)
     frame = Frame.from_rows(1 << lat.n_edges, rows, vals)
-    return ToricCode(lat, cfg, separation, Code(frame, (2,) * lat.n_edges))
+    n = lat.n_edges
+    stabilizers = tuple(PauliString(n, vertex_mask(lat, v), 0) for v in verts) + tuple(
+        PauliString(n, 0, face_mask(lat, f)) for f in lat.faces()[:-1]
+    )
+    return ToricCode(lat, cfg, separation, Code(frame, (2,) * n, stabilizers))

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from holoqec import toric as tt
 from holoqec.cli import main
 from holoqec.codes import _PauliBlocks
 
@@ -334,6 +335,21 @@ def test_correctable_builds_the_five_qubit_kernel_once(tmp_path, monkeypatch):
     assert main(argv + ["--out", str(outs[1])]) == 0
     assert built == []
     assert normalized_bytes(outs[0]) == normalized_bytes(outs[1])
+
+
+def test_toric_spec_builds_its_code_and_kernel_once(tmp_path, monkeypatch):
+    verbs = [
+        ["distance", "--code", "toric:L=2", "--max-weight", "2"],
+        ["correctable", "--code", "toric:L=2", "--errors", "squdit:s=1"],
+    ]
+    first = [main(v + ["--out", str(tmp_path / f"a{i}.json")]) for i, v in enumerate(verbs)]
+    built = []
+    monkeypatch.setattr(_PauliBlocks, "__init__", lambda *a: built.append(a))
+    monkeypatch.setattr(tt, "build_code", lambda *a, **k: built.append(a))
+    again = [main(v + ["--out", str(tmp_path / f"b{i}.json")]) for i, v in enumerate(verbs)]
+    assert built == [] and first == again
+    for i in range(len(verbs)):
+        assert normalized_bytes(tmp_path / f"a{i}.json") == normalized_bytes(tmp_path / f"b{i}.json")
 
 
 def test_determinism_across_runs_and_threads(tmp_path):

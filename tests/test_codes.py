@@ -1,11 +1,14 @@
 import pickle
+import re
 import time
 import tracemalloc
-from functools import reduce
+from functools import cache, reduce
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holoqec import (
     Code,
@@ -26,7 +29,7 @@ from holoqec.codes import _UNITS, _PauliBlocks, _Products, _weight_class
 from holoqec.errors import GeoLattice, conjugated_error_set, geolocal_errors
 from holoqec.fivequbit import logical_x, logical_z, stabilizer_generators
 from holoqec.frames import DenseSizeError
-from holoqec.pauli import apply_pauli, random_unitary
+from holoqec.pauli import apply_pauli, pauli_mul, random_unitary
 
 
 def dense_correction_oracle(code, errors, tol=1e-9):
@@ -362,6 +365,98 @@ def test_block_kernel_refuses_masks_past_int64():
         _PauliBlocks(wide)
     with pytest.raises(ValueError, match="int64"):
         _Products(SimpleNamespace(n=32))  # a key x << n | z would need 64 bits
+
+
+_STABILIZER_FIXTURES = [
+    "code5", "toric2", "toric3", "toric3_two_primal", "toric3_two_dual", "toric3_braidable",
+]
+
+
+@pytest.mark.parametrize("fixture", _STABILIZER_FIXTURES)
+def test_generator_kernel_equals_per_pauli_reference(fixture, request, rng):
+    """code._blocks skips anticommuting Paulis: their blocks are exactly 0, the rest unchanged."""
+    code = request.getfixturevalue(fixture)
+    code = getattr(code, "code", code)
+    x, z, k = _random_products(code.frame, code.n, 300, rng)
+    # a second copy with each X part moved by a generator product and each Z
+    # part replaced by one: on a toric frame, a live X part then commutes with
+    # every generator, so both branches below are taken
+    gx, gz = (np.array([getattr(s, b) for s in code.stabilizers]) for b in ("x_bits", "z_bits"))
+    pick = rng.random((x.size, gx.size)) < 0.5
+    x = np.concatenate([x, x ^ np.bitwise_xor.reduce(np.where(pick, gx, 0), axis=1)])
+    z = np.concatenate([z, np.bitwise_xor.reduce(np.where(pick, gz, 0), axis=1)])
+    k = np.concatenate([k, k])
+    got = _UNITS[k][:, None, None] * code._blocks.blocks(x, z)
+    nonzero = anticommuting = 0
+    for i in range(x.size):
+        p = PauliString(code.n, int(x[i]), int(z[i]), int(k[i]))
+        ref = pauli_block_reference(code.frame, p)
+        if all(p.commutes_with(s) for s in code.stabilizers):
+            assert np.array_equal(got[i], ref)
+            nonzero += bool(np.any(ref))
+        else:
+            assert not np.any(got[i]) and np.max(np.abs(ref)) <= 1e-15
+            anticommuting += 1
+    assert nonzero > 0 and anticommuting > 0
+
+
+def test_kernel_refuses_a_generator_that_moves_the_frame(code5):
+    x0 = PauliString.from_label("XIIII")
+    code = Code(code5.frame, code5.qudit_dims, (*code5.stabilizers, x0))
+    for scan in (lambda: code._blocks, lambda: distance(code, 1)):
+        with pytest.raises(ValueError, match=re.escape(f"{x0!r} does not fix")):
+            scan()
+
+
+def test_generators_come_from_the_builds_only(code5, toric3):
+    assert code5.stabilizers == stabilizer_generators()
+    assert len(toric3.code.stabilizers) == 2 * (3 * 3 - 1)
+    assert toric3.with_frame(toric3.frame, toric3.cfg).code.stabilizers == ()
+    assert code_from_json(code_to_json(code5)).stabilizers == ()
+
+
+@cache
+def _scan_answers(code):
+    """distance to weight 3, and (witness, deviation, f_matrix) on a passing and a failing set."""
+    if code.n == 5:
+        sets = (squdit_errors(5, 1), squdit_errors(5, 2))
+    else:
+        lat = GeoLattice.toric_edges(3)
+        sets = (geolocal_errors(lat, 1, 1), geolocal_errors(lat, 2, 1))
+    reps = [correction_condition(code, es) for es in sets]
+    return distance(code, 3), [(r.witness, r.max_deviation, r.f_matrix) for r in reps]
+
+
+@pytest.mark.parametrize("fixture", ["code5", "toric3"])
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_generator_subsets_and_products_change_no_answer(fixture, code5, toric3, data):
+    code = {"code5": code5, "toric3": toric3.code}[fixture]
+    gens = code.stabilizers
+    index = st.integers(0, len(gens) - 1)
+    words = data.draw(st.lists(st.lists(index, min_size=1, max_size=3), max_size=len(gens)))
+    chosen = tuple(reduce(pauli_mul, (gens[i] for i in w)) for w in words)
+    got = _scan_answers(Code(code.frame, code.qudit_dims, chosen))
+    want = _scan_answers(Code(code.frame, code.qudit_dims))
+    assert got[0] == want[0]
+    for (wg, dg, fg), (ww, dw, fw) in zip(got[1], want[1]):
+        assert wg == ww and dg == dw
+        assert (fg is None and fw is None) or np.array_equal(fg, fw)
+
+
+def test_only_commuting_paulis_reach_the_multiply(toric3, monkeypatch):
+    reached = []
+    step = _PauliBlocks._step
+
+    def counting(self, x, z, at, u):
+        reached.append((x.copy(), z.copy()))
+        return step(self, x, z, at, u)
+
+    monkeypatch.setattr(_PauliBlocks, "_step", counting)
+    code = toric3.code
+    assert distance(code, 3).delta == 3
+    paulis = [PauliString(code.n, int(a), int(b)) for x, z in reached for a, b in zip(x, z)]
+    assert paulis and all(p.commutes_with(s) for p in paulis for s in code.stabilizers)
 
 
 def _conjugated_mixed(rng, s_base):
