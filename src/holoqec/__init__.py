@@ -18,6 +18,7 @@ from .codes import (
     corrects_s_errors,
     distance,
     logical_action,
+    stabilizer_code,
 )
 from .errors import (
     EnumerationCapError,

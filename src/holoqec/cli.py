@@ -77,7 +77,10 @@ def _summary(line: str) -> None:
 
 def _spec_params(spec: str, *required: str) -> dict[str, str]:
     """The k=v pairs after the colon of a code or error-set spec."""
-    params = dict(kv.split("=") for kv in spec.partition(":")[2].split(","))
+    pairs = [kv.partition("=") for kv in spec.partition(":")[2].split(",")]
+    if not all(eq for _, eq, _ in pairs):
+        raise ValueError(f"{spec!r}: after the colon, give comma-separated k=v pairs")
+    params = {k: v for k, _, v in pairs}
     for key in required:
         if key not in params:
             raise ValueError(f"{spec!r} needs {key}=...")

@@ -1,7 +1,8 @@
-"""Codes as frames: correction condition, distance, and logical actions.
+"""Codes as frames: stabilizer-code builds, correction condition, distance, and logical actions.
 
 A code is a point of the Grassmannian of K-planes carried by an explicit
-frame (encoding).  Correctability of an error set {E_a} is the constant-block
+frame (encoding); ``stabilizer_code`` builds one from Pauli generators and
+seeds, exactly.  Correctability of an error set {E_a} is the constant-block
 condition: every B^{ab} = F^dagger E_a^dagger E_b F must be a scalar multiple
 of the identity on the logical space.  Distance is the least weight of a
 Pauli violating that condition for the single-operator set {P}.
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -39,14 +41,15 @@ __all__ = [
     "distance",
     "logical_action",
     "corrects_s_errors",
+    "stabilizer_code",
     "code_to_json",
     "code_from_json",
 ]
 
 @dataclass(frozen=True)
 class Code:
-    """An ((n, K)) code: a frame, the per-site dimensions of the register, and
-    unsigned stabilizer generators S, each with S F = lambda F for a unit lambda."""
+    """An ((n, K)) code: a frame, its register's per-site dimensions, and stabilizer
+    generators S with S F = lambda F, lambda a unit; the kernel reads only their bits."""
 
     frame: Frame
     qudit_dims: tuple[int, ...]
@@ -54,10 +57,7 @@ class Code:
 
     def __post_init__(self):
         object.__setattr__(self, "qudit_dims", tuple(int(d) for d in self.qudit_dims))
-        prod = 1
-        for d in self.qudit_dims:
-            prod *= d
-        if prod != self.frame.N:
+        if (prod := math.prod(self.qudit_dims)) != self.frame.N:
             raise ValueError(
                 f"qudit dims product {prod} != frame dimension {self.frame.N}"
             )
@@ -82,6 +82,46 @@ class Code:
     def _blocks(self) -> _PauliBlocks:
         """The frame's Pauli block kernel, built on first use and kept with the code."""
         return _PauliBlocks(self.frame, self.stabilizers)
+
+
+def stabilizer_code(generators: Sequence[PauliString], seeds: Sequence[int]) -> Code:
+    """The code with columns P|seeds[k]>, normalised, where P is the product of (1 + g)/2
+    over commuting Hermitian Paulis g, its ``stabilizers`` (Gottesman, quant-ph/9705052).
+
+    Factor g adds i^p (-1)^{|r & z|} times row r's amplitude to row r ^ x.  Row i
+    of seed b is b ^ V_i: V_i XORs the X parts, among those that made new rows,
+    picked by the bits of i; so r ^ x is row i ^ m if x = V_m, else a new row.
+    The amplitudes stay Gaussian integers of one modulus, or all vanish
+    (ValueError names the seed and g), so a column is amp / |amp| / sqrt(R),
+    exactly.  R <= 2^(generators with an X part) is bounded before any row is made.
+    """
+    gens = tuple(generators)
+    if not len(seeds) or len({g.n for g in gens}) != 1 or any(g.dagger() != g for g in gens):
+        raise ValueError("need seeds, and Hermitian generators all on the same qubits")
+    if not all(g.commutes_with(h) for g, h in itertools.combinations(gens, 2)):
+        raise ValueError("stabilizer generators must commute")
+    n, k = gens[0].n, len(seeds)
+    rows_per_seed = 2 ** sum(g.x_bits != 0 for g in gens)
+    check_dense_size(k * rows_per_seed * (8 + 16 * k), "the support rows of a stabilizer code")
+    rows = np.array(seeds, dtype=np.int64)[:, None]  # rows[k, i] is row i of seed k
+    amp = np.ones(rows.shape, dtype=complex)
+    for g in gens:
+        image = _UNITS[g.phase_exp] * _SIGNS[np.bitwise_count(rows & g.z_bits) & 1] * amp
+        if (m := np.flatnonzero(rows[0] == rows[0, 0] ^ g.x_bits)).size:
+            amp = amp + image[:, np.arange(rows.shape[1]) ^ m[0]]
+        else:
+            rows, amp = np.hstack([rows, rows ^ g.x_bits]), np.hstack([amp, image])
+        if (dead := np.flatnonzero(~amp.any(axis=1))).size:
+            raise ValueError(f"seed {seeds[dead[0]]} is killed by the generator {g!r}")
+    r = rows.shape[1]
+    amp = amp / np.abs(amp) / np.sqrt(r) + 0.0  # + 0.0: a -0.0 part would change code_to_json
+    order = np.argsort(rows, axis=None)
+    rows, amp = rows.ravel()[order], amp.ravel()[order]
+    if np.any(rows[1:] == rows[:-1]):
+        raise ValueError(f"seeds {tuple(seeds)} put two columns on one codeword")
+    vals = np.zeros((rows.size, k), dtype=complex)
+    vals[np.arange(rows.size), order // r] = amp
+    return Code(Frame.from_rows(1 << n, rows, vals), (2,) * n, gens)
 
 
 @dataclass(frozen=True)
@@ -407,10 +447,8 @@ def code_to_json(code: Code) -> str:
 
 def code_from_json(text: str) -> Code:
     doc = json.loads(text)
+    if missing := {"qudit_dims", "K", "frame"} - set(doc if isinstance(doc, dict) else ()):
+        raise ValueError(f"code JSON lacks {', '.join(map(repr, sorted(missing)))}")
     dims = tuple(doc["qudit_dims"])
-    N = 1
-    for d in dims:
-        N *= d
-    K = doc["K"]
     flat = np.array([complex(re, im) for re, im in doc["frame"]])
-    return Code(Frame(flat.reshape(N, K)), dims)
+    return Code(Frame(flat.reshape(math.prod(dims), doc["K"])), dims)

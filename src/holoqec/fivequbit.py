@@ -1,8 +1,9 @@
 """The ((5, 2, 3)) code fixture and its transversal gate set.
 
 Generators are XZZXI and its cyclic shifts; logical X and Z are the weight-5
-products.  The fixture is validated in-suite (distance 3, stabilizer action)
-rather than trusted.
+products.  The code is ``codes.stabilizer_code`` of the four generators,
+and it is validated in-suite (distance 3, stabilizer action) rather than
+trusted.
 """
 
 from __future__ import annotations
@@ -11,9 +12,8 @@ from functools import cache
 
 import numpy as np
 
-from .codes import Code
-from .frames import orthonormalize
-from .pauli import PauliString, apply_pauli
+from .codes import Code, stabilizer_code
+from .pauli import PauliString
 
 __all__ = [
     "STABILIZER_LABELS",
@@ -45,25 +45,11 @@ def logical_z() -> PauliString:
 
 @cache
 def five_qubit_code() -> Code:
-    """Codespace via the stabilizer projector applied to |00000> and |11111>.
+    """The stabilizer code of the four XZZXI shifts, seeded with |00000> and |11111>.
 
-    |1_L> = X^5 |0_L| holds exactly because X^5 commutes with every
+    |1_L> = X^5 |0_L> holds exactly because X^5 commutes with every
     generator, so the logical X action in this basis is the exact bit flip.
     Built once per process: the Code is frozen and its frame read-only, so
     every caller shares it, and with it the code's Pauli block kernel.
     """
-    n = 5
-    seeds = [np.zeros(2**n, dtype=complex) for _ in range(2)]
-    seeds[0][0] = 1.0
-    seeds[1][-1] = 1.0
-    gens = stabilizer_generators()
-    vecs = []
-    for seed in seeds:
-        v = seed
-        for g in gens:
-            v = 0.5 * (v + apply_pauli(g, v))
-        vecs.append(v)
-    frame = orthonormalize(vecs)
-    if frame.K != 2:
-        raise AssertionError("five-qubit construction must yield K = 2")
-    return Code(frame, (2,) * n, gens)
+    return stabilizer_code(stabilizer_generators(), (0, 31))

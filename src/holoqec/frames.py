@@ -131,10 +131,6 @@ class Frame:
         out.setflags(write=False)
         return out
 
-    def projector(self) -> np.ndarray:
-        """Dense rank-K projector F F^dagger.  Small-N diagnostics only."""
-        return self.data @ self.data.conj().T
-
     def __repr__(self) -> str:
         return f"Frame(N={self.N}, K={self.K}, rows={self.rows.size})"
 

@@ -1,23 +1,16 @@
-"""Toric codespaces with defects, built on the vertex group from seed states.
+"""Toric codespaces with defects, built by ``codes.stabilizer_code``.
 
 The joint eigenspace (A_v = +-1, B_f = +-1 with flipped signs at defects) is
-constructed by (i) choosing four computational seed strings satisfying all
-diagonal face constraints, one per homology class, and (ii) projecting each
-with the vertex projectors (1 + eps_v A_v)/2.  The projected seed b is
-uniform over its coset b ^ G of the vertex group G: the basis state b ^ g,
-g the X-support of the star product over a vertex set S, carries the sign
-prod_{v in S} eps_v and the amplitude 1/sqrt|G|.  The build enumerates G
-directly, so it is exact and touches only the 4 |G| support rows.
+fixed by L^2 - 1 plaquettes and L^2 - 1 stars, each negated at a defect.  The
+four seeds, one per homology class, have the dual defects' face fluxes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from ..codes import Code
-from ..frames import Frame, check_dense_size
+from ..codes import Code, stabilizer_code
+from ..frames import Frame
 from ..pauli import PauliString
 from .lattice import (
     DEFAULT_SEPARATION,
@@ -119,7 +112,8 @@ def build_code(
 ) -> ToricCode:
     """Build the K = 4 eigenspace for a defect configuration.
 
-    The code's stabilizer generators are L^2 - 1 stars and L^2 - 1 plaquettes.
+    The code's stabilizer generators are L^2 - 1 plaquettes and L^2 - 1 stars,
+    each negated at a defect.
 
     Raises ParityError for odd defect counts (caught by DefectConfig) and
     ConfigError when the hard-core condition fails at ``separation``.
@@ -135,38 +129,9 @@ def build_code(
 
     b0 = _dual_pairing_string(lat, cfg)
     row, col = _homology_shifts(lat)
-    seeds = [b0, b0 ^ row, b0 ^ col, b0 ^ row ^ col]
-
-    dual_set = set(cfg.dual)
-    for b in seeds:  # diagonal constraints hold exactly by construction
-        for f in lat.faces():
-            flux = (b & face_mask(lat, f)).bit_count() & 1
-            if flux != (1 if f in dual_set else 0):
-                raise AssertionError("seed violates a face constraint")
-
-    # the star product over all vertices is 1, so any L^2 - 1 stars generate G
-    verts = list(lat.vertices())[:-1]
-    size = 1 << len(verts)
-    check_dense_size(len(seeds) * size * (8 + 16 * len(seeds)), "the support rows of a toric code")
-    group = np.zeros(1, dtype=np.int64)
-    signs = np.ones(1)
-    primal_set = set(cfg.primal)
-    for v in verts:
-        eps = -1.0 if v in primal_set else 1.0
-        group = np.concatenate([group, group ^ vertex_mask(lat, v)])
-        signs = np.concatenate([signs, eps * signs])
-
-    rows = np.concatenate([b ^ group for b in seeds])
-    order = np.argsort(rows)
-    rows = rows[order]
-    if np.any(np.diff(rows) == 0):
-        raise AssertionError("toric construction must yield K = 4")
-    # sorted row i is element order[i] % size of the coset of seed order[i] // size
-    vals = np.zeros((rows.size, len(seeds)), dtype=complex)
-    vals[np.arange(rows.size), order // size] = signs[order % size] / np.sqrt(size)
-    frame = Frame.from_rows(1 << lat.n_edges, rows, vals)
-    n = lat.n_edges
-    stabilizers = tuple(PauliString(n, vertex_mask(lat, v), 0) for v in verts) + tuple(
-        PauliString(n, 0, face_mask(lat, f)) for f in lat.faces()[:-1]
-    )
-    return ToricCode(lat, cfg, separation, Code(frame, (2,) * n, stabilizers))
+    n, primal, dual = lat.n_edges, set(cfg.primal), set(cfg.dual)
+    # the product of all plaquettes, and that of all stars, is 1: L^2 - 1 of each generate
+    plaquettes = [PauliString(n, 0, face_mask(lat, f), 2 * (f in dual)) for f in lat.faces()[:-1]]
+    stars = [PauliString(n, vertex_mask(lat, v), 0, 2 * (v in primal)) for v in lat.vertices()[:-1]]
+    code = stabilizer_code(plaquettes + stars, (b0, b0 ^ row, b0 ^ col, b0 ^ row ^ col))
+    return ToricCode(lat, cfg, separation, code)

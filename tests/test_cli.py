@@ -94,6 +94,8 @@ def test_correctable_weight1(tmp_path):
         ["correctable", "--code", "fivequbit", "--errors", "squdit:s=1", "{small-limit}"],
         ["transversal", "lie-dim", "{bad-env}"],
         ["transversal", "lie-dim", "{bad-tol}"],
+        ["distance", "--code", "toric:L", "--max-weight", "1"],
+        ["distance", "--code", "{tmp}/no-dims.json", "--max-weight", "1"],
     ],
     ids=[
         "toric-build-without-config",
@@ -113,10 +115,13 @@ def test_correctable_weight1(tmp_path):
         "f-matrix-guard",
         "env-seed-not-an-int",
         "env-tol-not-a-float",
+        "spec-pair-without-equals",
+        "code-file-without-dims",
     ],
 )
 def test_library_errors_exit_2_with_one_line(argv, tmp_path, capsys, monkeypatch):
     (tmp_path / "no-L.json").write_text(json.dumps({"s": 0, "primal": [], "dual": []}))
+    (tmp_path / "no-dims.json").write_text(json.dumps({"n": 1, "K": 1, "frame": [[1.0, 0.0]]}))
     for name, op in (
         ("short-args", {"op": "TorusLoop", "args": [["primal", 0]]}),
         ("bad-ref", {"op": "FullBraid", "args": [["primal"], ["dual", 0]]}),
@@ -128,7 +133,11 @@ def test_library_errors_exit_2_with_one_line(argv, tmp_path, capsys, monkeypatch
     if "{small-limit}" in argv:  # the stored f rows pass a lowered dense bound
         argv = [a for a in argv if a != "{small-limit}"]
         monkeypatch.setattr("holoqec.frames.DENSE_BYTES_LIMIT", 6000)
-    named = None  # a malformed variable's message names it and its value
+    named = {  # these messages name what is wrong
+        "toric:L": "error: 'toric:L': after the colon, give comma-separated k=v pairs\n",
+        "{tmp}/no-dims.json": "error: code JSON lacks 'qudit_dims'\n",
+    }.get(argv[2] if len(argv) > 2 else None)
+    # a malformed variable's message names it and its value
     for mark, var, raw in (
         ("{bad-env}", "HOLOQEC_SEED", "seven"),
         ("{bad-tol}", "HOLOQEC_TOL", "abc"),

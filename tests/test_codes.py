@@ -23,12 +23,13 @@ from holoqec import (
     five_qubit_code,
     logical_action,
     squdit_errors,
+    stabilizer_code,
 )
 from holoqec import toric as tt
 from holoqec.codes import _UNITS, _PauliBlocks, _Products, _weight_class
 from holoqec.errors import GeoLattice, conjugated_error_set, geolocal_errors
 from holoqec.fivequbit import logical_x, logical_z, stabilizer_generators
-from holoqec.frames import DenseSizeError
+from holoqec.frames import DenseSizeError, orthonormalize
 from holoqec.pauli import apply_pauli, pauli_mul, random_unitary
 
 
@@ -200,6 +201,81 @@ def test_json_round_trip(code5):
     assert back.qudit_dims == code5.qudit_dims
     assert np.array_equal(back.frame.data, code5.frame.data)  # bit-exact
     assert code_to_json(back) == text
+
+
+# -- the stabilizer-code builder ----------------------------------------------
+
+
+def projector_five_qubit():
+    """Oracle: |00000> and |11111> times each dense projector (1 + g)/2, then Gram-Schmidt."""
+    vecs = []
+    for b in (0, 31):
+        v = np.zeros(32, dtype=complex)
+        v[b] = 1.0
+        for g in stabilizer_generators():
+            v = 0.5 * (v + apply_pauli(g, v))
+        vecs.append(v)
+    return orthonormalize(vecs)
+
+
+def test_five_qubit_build_equals_projector_build(code5):
+    """Bit for bit, signs of zero included, so its JSON text is unchanged too."""
+    ref = projector_five_qubit()
+    assert np.array_equal(code5.frame.rows, ref.rows)
+    assert code5.frame.vals.tobytes() == ref.vals.tobytes()
+    assert code5.stabilizers == stabilizer_generators()
+
+
+STEANE = ("IIIXXXX", "IXXIIXX", "XIXIXIX", "IIIZZZZ", "IZZIIZZ", "ZIZIZIZ")
+
+
+@pytest.mark.parametrize(
+    "labels, seeds, k, delta",
+    [(STEANE, (0, 0b1111111), 2, 3), (("XXXX", "ZZZZ"), (0, 0b0011, 0b0101, 0b0110), 4, 2)],
+    ids=["steane", "4-2-2"],
+)
+def test_stabilizer_code_builds_small_codes(labels, seeds, k, delta):
+    gens = tuple(PauliString.from_label(s) for s in labels)
+    code = stabilizer_code(gens, seeds)
+    assert code.K == k and code.stabilizers == gens
+    assert distance(code, delta).delta == delta
+    assert np.max(np.abs(code.frame.data.conj().T @ code.frame.data - np.eye(k))) < 1e-15
+
+
+@pytest.mark.parametrize("fixture", ["code5", "toric3_braidable", "toric3_swap"])
+def test_every_generator_fixes_the_frame_exactly(fixture, request):
+    """Toric generators carry their defect signs: each one has S F = F, not just a unit times F."""
+    code = request.getfixturevalue(fixture)
+    code = getattr(code, "code", code)
+    for s in code.stabilizers:
+        image = apply_pauli(s, code.frame)
+        assert np.array_equal(image.rows, code.frame.rows)
+        assert np.array_equal(image.vals, code.frame.vals)
+
+
+@pytest.mark.parametrize(
+    "labels, seeds, message",
+    [
+        (("-ZZ",), (0,), "seed 0 is killed by the generator PauliString('-ZZ')"),
+        (("XX", "ZZ"), (0, 0b01), "seed 1 is killed by the generator PauliString('+ZZ')"),
+        (("XI", "ZI"), (0,), "stabilizer generators must commute"),
+        (("i*ZZ",), (0,), "need seeds, and Hermitian generators"),
+        (("ZZ", "ZZZ"), (0,), "need seeds, and Hermitian generators"),
+        ((), (0,), "need seeds, and Hermitian generators"),
+        (("ZZ",), (), "need seeds, and Hermitian generators"),
+    ],
+    ids=["killed", "second-seed-killed", "anticommuting", "not-hermitian", "mixed-n",
+         "no-generators", "no-seeds"],
+)
+def test_stabilizer_code_names_what_it_refuses(labels, seeds, message):
+    gens = [PauliString.from_label(s) for s in labels]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        stabilizer_code(gens, seeds)
+
+
+def test_stabilizer_code_refuses_dependent_seeds():
+    with pytest.raises(ValueError, match=re.escape("seeds (0, 3) put two columns on one codeword")):
+        stabilizer_code([PauliString.from_label("XX")], (0, 3))
 
 
 # -- the batched block kernel against per-Pauli and per-pair references ------

@@ -47,7 +47,7 @@ def test_orthonormalize_span_preserved(rng):
     a = np.column_stack(vecs)
     q, _ = np.linalg.qr(a)
     p_ref = q @ q.conj().T
-    assert np.max(np.abs(f.projector() - p_ref)) < 1e-10
+    assert np.max(np.abs(f.data @ f.data.conj().T - p_ref)) < 1e-10
 
 
 def test_orthonormalize_idempotent_up_to_span(rng):

@@ -95,6 +95,20 @@ def test_dense_cap():
         tc.frame.data
 
 
+def test_l5_build_is_refused_before_it_allocates():
+    """4 seeds times 2^24 rows are bounded up front, before any row is made."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(DenseSizeError, match="the support rows of a stabilizer code"):
+            build_code(TorusLattice(5), DefectConfig((), ()), separation=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def projector_build(lat, cfg):
     """Oracle: the dense build, seeds times every vertex projector
     (1 + eps_v A_v)/2 on all 2^n rows, then Gram-Schmidt."""
