@@ -161,9 +161,9 @@ class NotLogicalError(ValueError):
 # Working-set bound of the block kernel on an R-row, K-column frame: one step
 # signs _CHUNK_BYTES // (16 R K) copies of the K x R block F^dagger, one per
 # Pauli, across as many x as those Paulis hold; a scan hands the kernel
-# _CHUNK_BYTES // (16 R) Paulis at a time, whose row indices (12 bytes per
-# Pauli and row) fit in the same bound.  The generator test adds 16 bytes per
-# Pauli and generator: g < R / 4 for every code built here.
+# _CHUNK_BYTES // (16 R) Paulis at a time, whose row lookup (24 bytes per
+# distinct x and row) holds at most 1.5 times that bound.  The generator test
+# adds 16 bytes per Pauli and generator: g < R / 4 for every code built here.
 _CHUNK_BYTES = 8 * 2**20
 # i^k for k = 0..3, and (-1)^k for k = 0, 1
 _UNITS = np.array([1, 1j, -1, -1j])
@@ -174,10 +174,10 @@ class _PauliBlocks:
     """Blocks B = F^dagger X^x Z^z F over the frame's support rows (exact).
 
     B[i,j] = sum_m conj(F[m,i]) (-1)^{popcount((m^x)&z)} F[m^x, j], and only
-    rows m in the support contribute.  F[m^x] is gathered through an int32
-    map from row index to block position, in which rows off the support
-    point at one padded zero row.  The map, the padded block, the
-    contiguous F^dagger and the code's generators are fixed per frame;
+    rows m in the support contribute.  F[m^x] is found by binary search of
+    m^x in the sorted support rows; a row off the support points at one
+    padded zero row.  The padded block, the contiguous F^dagger and the
+    code's generators are fixed per frame;
     ``Code._blocks`` builds them once per code, and checks that each
     generator S has S F = lambda F exactly for a unit lambda, or raises
     ValueError naming S.
@@ -193,15 +193,14 @@ class _PauliBlocks:
     of F^dagger, which is exact, and multiplies each run of equal x by that
     x's rows, gathered once: a narrow frame spans many x in one step, a wide
     one gathers once per x.  Callers pass ``width`` Paulis per call.  x and
-    z are held as int64: the map's DenseSizeError already caps n at 26, and
-    n > 62 is refused.
+    z are held as int64, so n > 62 is refused; the correction condition's
+    product keys cap n at 32.
     """
 
     def __init__(self, frame: Frame, stabilizers: Sequence[PauliString] = ()):
         self.n = frame.N.bit_length() - 1
         if self.n > 62:
             raise ValueError(f"Pauli bit masks are int64; n = {self.n} qubits is too many")
-        check_dense_size(4 * frame.N, "the row-position map of a frame")
         for s in stabilizers:
             image = apply_pauli(s, frame)
             if not np.array_equal(image.rows, frame.rows) or not any(
@@ -210,10 +209,7 @@ class _PauliBlocks:
                 raise ValueError(f"{s!r} does not fix the code's frame up to a unit")
         self.gx = np.array([s.x_bits for s in stabilizers], dtype=np.int64)
         self.gz = np.array([s.z_bits for s in stabilizers], dtype=np.int64)
-        r = frame.rows.size
         self.rows = frame.rows
-        self.pos = np.full(frame.N, r, dtype=np.int32)
-        self.pos[frame.rows] = np.arange(r, dtype=np.int32)
         self.padded = np.vstack([frame.vals, np.zeros((1, frame.K), dtype=complex)])
         self.left = np.ascontiguousarray(frame.vals.conj().T)
 
@@ -230,7 +226,9 @@ class _PauliBlocks:
         odd ^= z[:, None] & self.gx
         keep = np.flatnonzero(~(np.bitwise_count(odd) & 1).any(axis=1))
         xs, inverse = np.unique(x[keep], return_inverse=True)
-        at = self.pos.take(self.rows ^ xs[:, None])
+        want = self.rows ^ xs[:, None]
+        at = np.searchsorted(self.rows, want)
+        at[self.rows.take(at, mode="clip") != want] = r  # off the support: the zero row
         todo = np.flatnonzero((at < r).any(axis=1)[inverse])
         todo = todo[np.argsort(inverse[todo], kind="stable")]
         for lo in range(0, todo.size, chunk):
@@ -264,15 +262,15 @@ def _scalar_part(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class _Products:
     """The K x K block of each distinct phase-free product X^x Z^z evaluated so far.
 
-    Keyed by x << n | z (2n <= 52 bits under the map's n <= 26) and kept
-    sorted, 8 + 16 K^2 bytes per product; new keys go through the kernel once.
+    Keyed by x << n | z as uint64, so 2n <= 64, and kept sorted, 8 + 16 K^2
+    bytes per product; new keys go through the kernel once.
     """
 
     def __init__(self, kernel: _PauliBlocks):
-        if 2 * kernel.n > 63:
-            raise ValueError(f"product keys are int64; n = {kernel.n} qubits is too many")
+        if 2 * kernel.n > 64:
+            raise ValueError(f"product keys are uint64; n = {kernel.n} qubits is too many")
         self.kernel = kernel
-        self.keys = np.empty(0, dtype=np.int64)
+        self.keys = np.empty(0, dtype=np.uint64)
         k = kernel.left.shape[0]
         self.blocks = np.empty((0, k, k), dtype=complex)
 
@@ -282,13 +280,14 @@ class _Products:
 
     def __call__(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
         n = self.kernel.n
-        keys = (x << n) | z
+        keys = x.astype(np.uint64) << n | z.astype(np.uint64)
         at = np.searchsorted(self.keys, keys)
         seen = at < self.keys.size
         seen[seen] = self.keys[at[seen]] == keys[seen]
         if not seen.all():
             new = np.unique(keys[~seen])
-            blocks = self.kernel.blocks(new >> n, new & ((1 << n) - 1))
+            hi, lo = new >> n, new & ((1 << n) - 1)
+            blocks = self.kernel.blocks(hi.astype(np.int64), lo.astype(np.int64))
             order = np.argsort(np.concatenate([self.keys, new]))
             self.keys = np.concatenate([self.keys, new])[order]
             self.blocks = np.concatenate([self.blocks, blocks])[order]
@@ -450,5 +449,8 @@ def code_from_json(text: str) -> Code:
     if missing := {"qudit_dims", "K", "frame"} - set(doc if isinstance(doc, dict) else ()):
         raise ValueError(f"code JSON lacks {', '.join(map(repr, sorted(missing)))}")
     dims = tuple(doc["qudit_dims"])
-    flat = np.array([complex(re, im) for re, im in doc["frame"]])
+    try:
+        flat = np.array([complex(re, im) for re, im in doc["frame"]])
+    except (TypeError, ValueError):
+        raise ValueError("code JSON 'frame' must be a list of [re, im] pairs") from None
     return Code(Frame(flat.reshape(math.prod(dims), doc["K"])), dims)

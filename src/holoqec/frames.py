@@ -97,7 +97,7 @@ class Frame:
         chunks = (vals[i : i + step] for i in range(0, len(vals), step))
         g = sum(c.conj().T @ c for c in chunks)
         err = np.max(np.abs(g - np.eye(k)))
-        if err >= ORTHONORMALITY_TOL:
+        if not err < ORTHONORMALITY_TOL:  # a NaN fails too
             raise ValueError(f"columns not orthonormal (max deviation {err:.3e})")
         keep = np.any(vals != 0, axis=1)
         if not keep.all():

@@ -57,6 +57,15 @@ def test_distance_toric_l2(tmp_path):
     assert rc == 0
 
 
+def test_distance_toric_l4(tmp_path):
+    """32 qubits: the scan reads the frame's support rows only, and delta = L."""
+    out = tmp_path / "r.json"
+    rc = main(["distance", "--code", "toric:L=4", "--max-weight", "4",
+               "--expect", "4", "--out", str(out)])
+    assert rc == 0
+    assert read_report(out)["results"]["witness"] == "+ZZZZ" + "I" * 28
+
+
 def test_distance_expectation_mismatch(tmp_path):
     rc = main(["distance", "--code", "fivequbit", "--max-weight", "3",
                "--expect", "2", "--out", str(tmp_path / "r.json")])
@@ -89,13 +98,14 @@ def test_correctable_weight1(tmp_path):
         ["transversal", "holonomy", "--gate", "stabilizer-5"],
         ["toric", "braid", "--config", "{tmp}/short-args.json"],
         ["toric", "braid", "--config", "{tmp}/bad-ref.json"],
-        ["distance", "--code", "toric:L=4", "--max-weight", "1"],
+        ["distance", "--code", "toric:L=5", "--max-weight", "1"],
         ["transversal", "lie-dim", "{oom}"],
         ["correctable", "--code", "fivequbit", "--errors", "squdit:s=1", "{small-limit}"],
         ["transversal", "lie-dim", "{bad-env}"],
         ["transversal", "lie-dim", "{bad-tol}"],
         ["distance", "--code", "toric:L", "--max-weight", "1"],
         ["distance", "--code", "{tmp}/no-dims.json", "--max-weight", "1"],
+        ["distance", "--code", "{tmp}/flat-frame.json", "--max-weight", "1"],
     ],
     ids=[
         "toric-build-without-config",
@@ -117,11 +127,13 @@ def test_correctable_weight1(tmp_path):
         "env-tol-not-a-float",
         "spec-pair-without-equals",
         "code-file-without-dims",
+        "code-file-frame-not-pairs",
     ],
 )
 def test_library_errors_exit_2_with_one_line(argv, tmp_path, capsys, monkeypatch):
     (tmp_path / "no-L.json").write_text(json.dumps({"s": 0, "primal": [], "dual": []}))
     (tmp_path / "no-dims.json").write_text(json.dumps({"n": 1, "K": 1, "frame": [[1.0, 0.0]]}))
+    (tmp_path / "flat-frame.json").write_text(json.dumps({"qudit_dims": [2], "K": 1, "frame": [1, 0]}))
     for name, op in (
         ("short-args", {"op": "TorusLoop", "args": [["primal", 0]]}),
         ("bad-ref", {"op": "FullBraid", "args": [["primal"], ["dual", 0]]}),
@@ -136,6 +148,7 @@ def test_library_errors_exit_2_with_one_line(argv, tmp_path, capsys, monkeypatch
     named = {  # these messages name what is wrong
         "toric:L": "error: 'toric:L': after the colon, give comma-separated k=v pairs\n",
         "{tmp}/no-dims.json": "error: code JSON lacks 'qudit_dims'\n",
+        "{tmp}/flat-frame.json": "error: code JSON 'frame' must be a list of [re, im] pairs\n",
     }.get(argv[2] if len(argv) > 2 else None)
     # a malformed variable's message names it and its value
     for mark, var, raw in (

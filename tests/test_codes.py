@@ -440,7 +440,7 @@ def test_block_kernel_refuses_masks_past_int64():
     with pytest.raises(ValueError, match="int64"):
         _PauliBlocks(wide)
     with pytest.raises(ValueError, match="int64"):
-        _Products(SimpleNamespace(n=32))  # a key x << n | z would need 64 bits
+        _Products(SimpleNamespace(n=33))  # a key x << n | z would need 66 bits
 
 
 _STABILIZER_FIXTURES = [

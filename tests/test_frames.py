@@ -185,6 +185,17 @@ def test_orthonormality_check_stays_bounded_on_a_large_block():
     assert peak < 0.25 * vals.nbytes
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0 in the Gram matrix
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.nan, 0), complex(1, np.nan)])
+def test_frames_refuse_non_finite_blocks(bad):
+    """A NaN deviation compares False against any bound, so the check must not read as passed."""
+    vals = np.array([[bad], [0.0]], dtype=complex)
+    with pytest.raises(ValueError, match="orthonormal"):
+        Frame(vals)
+    with pytest.raises(ValueError, match="orthonormal"):
+        Frame.from_rows(4, [0, 3], vals)
+
+
 def test_orthonormality_check_sees_every_chunk():
     vals = _spread_block(1 << 17, 4)
     vals[-1, 0] = 1e-3  # breaks orthogonality in the last rows only
