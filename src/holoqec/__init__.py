@@ -15,7 +15,6 @@ from .codes import (
     code_from_json,
     code_to_json,
     correction_condition,
-    corrects_s_errors,
     distance,
     logical_action,
     stabilizer_code,
@@ -36,7 +35,6 @@ from .frames import (
     orthonormalize,
     principal_overlap,
     subspace_distance,
-    subspace_equal,
 )
 from .pauli import (
     LocalOperator,

@@ -282,24 +282,43 @@ def cmd_transversal(args) -> int:
     return 0 if ok else 1
 
 
+def _int(value, what: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} must be an int, not {value!r}") from None
+
+
 def _defect_ref(op: str, r) -> tuple[str, int]:
     if not isinstance(r, list) or len(r) != 2:
         raise ValueError(f"braid op {op!r}: defect reference {r!r} is not [kind, index]")
-    return r[0], int(r[1])
+    return r[0], _int(r[1], f"braid op {op!r}: defect index")
+
+
+def _config_sites(doc: dict, key: str) -> tuple:
+    sites = doc.get(key, [])
+    if not isinstance(sites, list) or not all(
+        isinstance(v, list) and all(type(c) is int for c in v) for v in sites
+    ):
+        raise ValueError(f"toric config {key!r} must be a list of [x, y] int sites")
+    return tuple(map(tuple, sites))
 
 
 def _load_toric_config(path: str):
     doc = json.loads(Path(path).read_text())
-    if "L" not in doc:
+    if not isinstance(doc, dict) or "L" not in doc:
         raise ValueError(f"toric config {path} needs \"L\"")
-    lat = tt.TorusLattice(int(doc["L"]))
-    cfg = tt.DefectConfig(
-        tuple(tuple(v) for v in doc.get("primal", [])),
-        tuple(tuple(f) for f in doc.get("dual", [])),
-    )
-    s = int(doc.get("s", tt.DEFAULT_SEPARATION))
+    lat = tt.TorusLattice(_int(doc["L"], "toric config 'L'"))
+    cfg = tt.DefectConfig(_config_sites(doc, "primal"), _config_sites(doc, "dual"))
+    s = _int(doc.get("s", tt.DEFAULT_SEPARATION), "toric config 's'")
+    braid = doc.get("braid", [])
+    if not isinstance(braid, list) or not all(
+        isinstance(item, dict) and isinstance(item.get("args"), list) and "op" in item
+        for item in braid
+    ):
+        raise ValueError("toric config 'braid' must be a list of {\"op\": ..., \"args\": [...]} objects")
     word = []
-    for item in doc.get("braid", []):
+    for item in braid:
         op, a = item["op"], item["args"]
         if len(a) != 2:
             raise ValueError(f"braid op {op!r} needs 2 args, got {len(a)}")
@@ -311,7 +330,7 @@ def _load_toric_config(path: str):
         elif op == "HalfBraid":
             word.append(tt.HalfBraid(ref(a[0]), ref(a[1])))
         elif op == "ContractibleLoop":
-            word.append(tt.ContractibleLoop(ref(a[0]), int(a[1])))
+            word.append(tt.ContractibleLoop(ref(a[0]), _int(a[1], f"braid op {op!r}: radius")))
         else:
             raise ValueError(f"unknown braid op {op!r}")
     return lat, cfg, s, word
@@ -394,6 +413,9 @@ def cmd_toric(args) -> int:
 
 def cmd_report_merge(args) -> int:
     reports = [json.loads(Path(p).read_text()) for p in args.reports]
+    for path, report in zip(args.reports, reports):
+        if not isinstance(report, dict):
+            raise ValueError(f"report {path} is not a JSON object")
     _emit(
         {
             "command": "report-merge",

@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ErrorSet, pauli_bits, squdit_errors
+from .errors import ErrorSet, pauli_bits
 from .frames import Frame, check_dense_size, common_rows
 from .pauli import PauliString, apply_pauli
 
@@ -40,7 +40,6 @@ __all__ = [
     "correction_condition",
     "distance",
     "logical_action",
-    "corrects_s_errors",
     "stabilizer_code",
     "code_to_json",
     "code_from_json",
@@ -131,25 +130,12 @@ class CorrectionReport:
     witness: tuple[int, int] | None
     max_deviation: float
 
-    def witness_message(self, errors: Sequence) -> str:
-        if self.witness is None:
-            return "no violation"
-        a, b = self.witness
-        return (
-            f"pair ({a}, {b}) = ({errors[a]!r}, {errors[b]!r}) "
-            f"violates the constant-block condition by {self.max_deviation:.3e}"
-        )
-
 
 @dataclass(frozen=True)
 class DistanceResult:
     delta: int | None
     lower_bound: int
     witness: PauliString | None
-
-    @property
-    def found(self) -> bool:
-        return self.delta is not None
 
 
 class NotLogicalError(ValueError):
@@ -421,13 +407,6 @@ def logical_action(code: Code, u: PauliString, tol: float = 1e-9) -> np.ndarray:
     return m
 
 
-def corrects_s_errors(code: Code, s: int, tol: float = 1e-9) -> bool:
-    """True iff the full weight-<=s Pauli set passes the correction condition."""
-    if s < 0:
-        raise ValueError("s must be non-negative")
-    return correction_condition(code, squdit_errors(code.n, s), tol).correctable
-
-
 # -- JSON serialization -------------------------------------------------------
 
 
@@ -448,9 +427,13 @@ def code_from_json(text: str) -> Code:
     doc = json.loads(text)
     if missing := {"qudit_dims", "K", "frame"} - set(doc if isinstance(doc, dict) else ()):
         raise ValueError(f"code JSON lacks {', '.join(map(repr, sorted(missing)))}")
-    dims = tuple(doc["qudit_dims"])
+    dims, k = doc["qudit_dims"], doc["K"]
+    if not isinstance(dims, list) or not all(type(d) is int and d > 0 for d in dims):
+        raise ValueError("code JSON 'qudit_dims' must be a list of positive ints")
+    if type(k) is not int:
+        raise ValueError("code JSON 'K' must be an int")
     try:
         flat = np.array([complex(re, im) for re, im in doc["frame"]])
     except (TypeError, ValueError):
         raise ValueError("code JSON 'frame' must be a list of [re, im] pairs") from None
-    return Code(Frame(flat.reshape(math.prod(dims), doc["K"])), dims)
+    return Code(Frame(flat.reshape(math.prod(dims), k)), dims)

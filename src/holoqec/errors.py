@@ -95,9 +95,6 @@ class ErrorSet:
         for xzk in zip(self.x.tolist(), self.z.tolist(), self.phase.tolist()):
             yield PauliString(self.n, *xzk)
 
-    def to_labels(self) -> list[str]:
-        return [e.to_label() for e in self]
-
 
 def pauli_bits(supports: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(x, z) int64 masks of the 3^w Paulis with full support on each row of a (c, w) site array.

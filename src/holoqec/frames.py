@@ -22,7 +22,6 @@ __all__ = [
     "common_rows",
     "orthonormalize",
     "principal_overlap",
-    "subspace_equal",
     "subspace_distance",
     "EmptySpanError",
 ]
@@ -191,18 +190,11 @@ def principal_overlap(f1: Frame, f2: Frame) -> np.ndarray:
     return a.conj().T @ b
 
 
-def subspace_equal(f1: Frame, f2: Frame, tol: float = 1e-9) -> bool:
-    """True iff the column spans agree: every overlap singular value > 1 - tol."""
-    s = np.linalg.svd(principal_overlap(f1, f2), compute_uv=False)
-    return bool(s.min() > 1.0 - tol)
-
-
 def subspace_distance(f1: Frame, f2: Frame) -> float:
     """One minus the smallest principal cosine: 0 iff the spans agree.
 
-    This is the quantity subspace_equal thresholds, so equal-span frames
-    computed in floats score ~1e-16 rather than the sqrt-amplified values a
-    sine-based metric would give.
+    Equal-span frames computed in floats score ~1e-16 rather than the
+    sqrt-amplified values a sine-based metric would give.
     """
     s = np.linalg.svd(principal_overlap(f1, f2), compute_uv=False)
     return float(max(0.0, 1.0 - float(s.min())))

@@ -155,9 +155,6 @@ class PauliString:
         full = reduce(np.kron, reversed(ops)) if ops else np.eye(1, dtype=complex)
         return self.phase * full
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        return apply_pauli(self, v)
-
     def pauli_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(x_bits, z_bits, c) of the one term i^k X^x Z^z, as LocalOperator.pauli_terms."""
         return np.array([self.x_bits]), np.array([self.z_bits]), np.array([self.phase])

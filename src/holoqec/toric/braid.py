@@ -315,37 +315,23 @@ def _rebuild_with_bump(
     lat: TorusLattice, cfg: DefectConfig, s: int, steps: list[Step]
 ) -> list[Step] | None:
     """Replace the first bumpable hop with a homotopic 3-hop detour."""
-    for k in range(len(steps)):
-        # replay up to step k
-        comp = _Compiler(lat, cfg, s)
-        ok = True
-        for st in steps[:k]:
-            status, _, nxt = _classify_step(lat, comp.cfg, st, s)
-            if status != HOP:
-                ok = False
-                break
-            comp.steps.append(st)
-            comp.cfg = nxt
-        if not ok:
-            return None
-        step = steps[k]
+    cur = cfg  # the configuration before steps[k]
+    for k, step in enumerate(steps):
         kind = step.kind
         a, b = lat.edge_endpoints(step.edge)
-        sites = comp.cfg.sites(kind)
+        sites = cur.sites(kind)
         if (a in sites) == (b in sites):
             return None
         src, dst = (a, b) if a in sites else (b, a)
         idx = sites.index(src)
         vec = _hop_vector(lat.L, src, dst)
-        if vec is None:
-            continue
-        sides = [(0, 1), (0, -1)] if vec[1] == 0 else [(1, 0), (-1, 0)]
-        opposite = set(comp.cfg.sites(_OPPOSITE[kind]))
+        sides = [] if vec is None else [(0, 1), (0, -1)] if vec[1] == 0 else [(1, 0), (-1, 0)]
+        opposite = set(cur.sites(_OPPOSITE[kind]))
         for side in sides:
             if _enclosed_site(kind, lat.L, src, vec, side) in opposite:
                 continue
-            trial = _Compiler(lat, comp.cfg, s)
-            trial.steps = list(comp.steps)
+            trial = _Compiler(lat, cur, s)
+            trial.steps = steps[:k]
             try:
                 trial.walk((kind, idx), _bump_detour(lat.L, src, dst, side))
                 for st in steps[k + 1 :]:
@@ -357,27 +343,25 @@ def _rebuild_with_bump(
             except RoutingError:
                 continue
             return trial.steps
+        status, _, cur = _classify_step(lat, cur, step, s)
+        if status != HOP:
+            return None
     return None
 
 
 def _append_wiggle(
-    lat: TorusLattice, cfg: DefectConfig, s: int, steps: list[Step]
+    lat: TorusLattice, end: DefectConfig, s: int, steps: list[Step]
 ) -> list[Step]:
-    """Retrace one legal edge twice: a distinct, exactly-null decoration."""
-    comp = _Compiler(lat, cfg, s)
-    for st in steps:
-        status, detail, nxt = _classify_step(lat, comp.cfg, st, s)
-        if status != HOP:
-            raise RoutingError(detail)
-        comp.cfg = nxt
-    for kind, sites in (("primal", comp.cfg.primal), ("dual", comp.cfg.dual)):
+    """Retrace one legal edge twice at ``end``, where ``steps`` leave the
+    defects: a distinct, exactly-null decoration."""
+    for kind, sites in (("primal", end.primal), ("dual", end.dual)):
         for idx, pos in enumerate(sites):
             neighbors = [
                 ((pos[0] + dx) % lat.L, (pos[1] + dy) % lat.L)
                 for dx, dy in ((1, 0), (0, 1), (-1, 0), (0, -1))
             ]
             for dest in neighbors:
-                trial = _Compiler(lat, comp.cfg, s)
+                trial = _Compiler(lat, end, s)
                 try:
                     trial.hop((kind, idx), dest)
                     trial.hop((kind, idx), pos)
@@ -405,7 +389,7 @@ def compile_braid(
     steps = comp.steps
     if variant == 1:
         bumped = _rebuild_with_bump(lat, cfg, s, steps)
-        steps = bumped if bumped is not None else _append_wiggle(lat, cfg, s, steps)
+        steps = bumped if bumped is not None else _append_wiggle(lat, comp.cfg, s, steps)
     elif variant != 0:
         raise ValueError("variant must be 0 or 1")
     return StringEvolution(tuple(steps)), comp.cfg

@@ -29,7 +29,7 @@ class ParityError(ValueError):
 
 
 class ConfigError(ValueError):
-    """Defect configuration violates the hard-core condition."""
+    """Defect configuration has a site off the lattice or violates the hard-core condition."""
 
 
 @dataclass(frozen=True)
@@ -115,11 +115,20 @@ def build_code(
     The code's stabilizer generators are L^2 - 1 plaquettes and L^2 - 1 stars,
     each negated at a defect.
 
-    Raises ParityError for odd defect counts (caught by DefectConfig) and
-    ConfigError when the hard-core condition fails at ``separation``.
+    Raises ParityError for odd defect counts (caught by DefectConfig), and
+    ConfigError for a site that is not a pair of ints in range(L) or when the
+    hard-core condition fails at ``separation``.
     """
     if len(cfg.primal) % 2 or len(cfg.dual) % 2:
         raise ParityError("defect counts must be even")
+    for kind in ("primal", "dual"):
+        for site in cfg.sites(kind):
+            if not (
+                isinstance(site, tuple)
+                and len(site) == 2
+                and all(type(c) is int and 0 <= c < lat.L for c in site)
+            ):
+                raise ConfigError(f"{kind} site {site!r} is not a pair of ints in range({lat.L})")
     hc = hardcore_check(lat, cfg, separation)
     if not hc.ok:
         raise ConfigError(

@@ -204,27 +204,19 @@ def edge_code(tc: ToricCode, kind: str, edge: Edge, t: float) -> Frame:
     return slide_frame(f_start, sigma, t)
 
 
-def edge_overlap_modulus(t: float, tp: float) -> float:
-    """|alpha(t) conj(alpha(t')) + beta(t) conj(beta(t'))| = |cos(pi (t-t')/2)|."""
-    return abs(alpha(t) * np.conj(alpha(tp)) + beta(t) * np.conj(beta(tp)))
-
-
 _LEG_ORDER = (("CA", "reverse"), ("CD", "forward"), ("DB", "forward"), ("AB", "reverse"))
 
 
 def det_winding_check(
-    lat: TorusLattice,
-    face,
-    kind: str = "primal",
-    samples: int = 64,
-    flip_edge: str | None = None,
+    kind: str = "primal", samples: int = 64, flip_edge: str | None = None
 ) -> float:
     """Total winding of arg(det) of the four boundary interpolation families.
 
     Walks A -> C -> D -> B -> A; legs along the uniform orientation use the
     forward family, legs against it the reverse family, and their half-turns
     cancel pairwise.  ``flip_edge`` (one of CA, CD, DB, AB) flips one leg for
-    the +-2 pi diagnostic.
+    the +-2 pi diagnostic.  Every face of every lattice has the same legs, so
+    the winding depends on neither.
     """
     if samples < 4:
         raise ValueError("need at least 4 samples per leg")
@@ -244,9 +236,7 @@ def det_winding_check(
 
 def face_checks(lat: TorusLattice, tol: float) -> dict:
     """Criterion-style face diagnostics: winding, coefficients, frame checks."""
-    max_winding = max(
-        abs(det_winding_check(lat, f)) for f in lat.faces()
-    )
+    max_winding = abs(det_winding_check())
     worst_coeff = 0.0
     for k in range(21):
         u = k / 20

@@ -262,9 +262,6 @@ class HardcoreReport:
     violating_pair: tuple[str, str] | None
     min_distance: int | None
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def _typed_distance(
     lat: TorusLattice, kind_a: str, va: Vertex, kind_b: str, vb: Vertex

@@ -17,9 +17,6 @@ from .lattice import DefectConfig, Edge, TorusLattice, hardcore_check
 __all__ = [
     "Step",
     "StringEvolution",
-    "StepReport",
-    "EvolutionReport",
-    "validate_evolution",
     "apply_string",
     "InvalidEvolutionError",
     "step_pauli",
@@ -55,22 +52,6 @@ class StringEvolution:
         return len(self.steps)
 
 
-@dataclass(frozen=True)
-class StepReport:
-    index: int
-    status: str
-    detail: str
-
-
-@dataclass(frozen=True)
-class EvolutionReport:
-    steps: tuple[StepReport, ...]
-
-    @property
-    def valid(self) -> bool:
-        return all(s.status == HOP for s in self.steps)
-
-
 def step_pauli(lat: TorusLattice, step: Step) -> PauliString:
     """The single-qubit Pauli a step applies."""
     if step.kind == "primal":
@@ -101,22 +82,6 @@ def _classify_step(
             cfg,
         )
     return HOP, f"{step.kind} defect {src} -> {dst}", moved
-
-
-def validate_evolution(
-    lat: TorusLattice, cfg: DefectConfig, ev: StringEvolution, s: int
-) -> EvolutionReport:
-    """Classify every step; a report, not an exception."""
-    reports = []
-    cur = cfg
-    for i, step in enumerate(ev.steps):
-        status, detail, nxt = _classify_step(lat, cur, step, s)
-        reports.append(StepReport(i, status, detail))
-        if status != HOP:
-            # keep classifying against the unchanged configuration
-            continue
-        cur = nxt
-    return EvolutionReport(tuple(reports))
 
 
 def apply_string(tc: ToricCode, ev: StringEvolution) -> tuple[ToricCode, PauliString]:

@@ -52,10 +52,6 @@ class HolonomyResult:
     classification: str
     residual: float
 
-    @property
-    def is_phase_only(self) -> bool:
-        return self.classification == PHASE_ONLY
-
     def to_json_dict(self) -> dict:
         return {
             "logical": [[[z.real, z.imag] for z in row] for row in self.logical],

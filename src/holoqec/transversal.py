@@ -81,13 +81,6 @@ class TransversalUnitary:
                 out = _on_site(f, j, dims, out)
         return out
 
-    def __matmul__(self, other: "TransversalUnitary") -> "TransversalUnitary":
-        if self.dims != other.dims:
-            raise ValueError("site dimensions differ")
-        return TransversalUnitary(
-            tuple(a @ b for a, b in zip(self.factors, other.factors))
-        )
-
     @classmethod
     def identity(cls, dims: Sequence[int]) -> "TransversalUnitary":
         return cls(tuple(np.eye(d, dtype=complex) for d in dims))

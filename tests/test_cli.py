@@ -106,6 +106,12 @@ def test_correctable_weight1(tmp_path):
         ["distance", "--code", "toric:L", "--max-weight", "1"],
         ["distance", "--code", "{tmp}/no-dims.json", "--max-weight", "1"],
         ["distance", "--code", "{tmp}/flat-frame.json", "--max-weight", "1"],
+        ["distance", "--code", "{tmp}/dims-not-ints.json", "--max-weight", "1"],
+        ["distance", "--code", "{tmp}/k-not-int.json", "--max-weight", "1"],
+        ["toric", "braid", "--config", "{tmp}/braid-item-not-object.json"],
+        ["toric", "build", "--config", "{tmp}/primal-not-list.json"],
+        ["toric", "build", "--config", "{tmp}/site-off-lattice.json"],
+        ["report-merge", "{tmp}/list.json"],
     ],
     ids=[
         "toric-build-without-config",
@@ -128,12 +134,27 @@ def test_correctable_weight1(tmp_path):
         "spec-pair-without-equals",
         "code-file-without-dims",
         "code-file-frame-not-pairs",
+        "code-file-dims-not-ints",
+        "code-file-K-not-int",
+        "toric-config-braid-item-not-object",
+        "toric-config-primal-not-a-list",
+        "toric-config-site-off-lattice",
+        "report-merge-not-an-object",
     ],
 )
 def test_library_errors_exit_2_with_one_line(argv, tmp_path, capsys, monkeypatch):
     (tmp_path / "no-L.json").write_text(json.dumps({"s": 0, "primal": [], "dual": []}))
     (tmp_path / "no-dims.json").write_text(json.dumps({"n": 1, "K": 1, "frame": [[1.0, 0.0]]}))
     (tmp_path / "flat-frame.json").write_text(json.dumps({"qudit_dims": [2], "K": 1, "frame": [1, 0]}))
+    for name, doc in (
+        ("dims-not-ints", {"qudit_dims": "ab", "K": 1, "frame": [[1, 0], [0, 0]]}),
+        ("k-not-int", {"qudit_dims": [2], "K": "1", "frame": [[1, 0], [0, 0]]}),
+        ("braid-item-not-object", {"L": 3, "braid": [5]}),
+        ("primal-not-list", {"L": 3, "primal": 5}),
+        ("site-off-lattice", {"L": 3, "s": 0, "primal": [[3, 2], [0, 0]]}),
+        ("list", [1, 2]),
+    ):
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
     for name, op in (
         ("short-args", {"op": "TorusLoop", "args": [["primal", 0]]}),
         ("bad-ref", {"op": "FullBraid", "args": [["primal"], ["dual", 0]]}),
@@ -149,7 +170,13 @@ def test_library_errors_exit_2_with_one_line(argv, tmp_path, capsys, monkeypatch
         "toric:L": "error: 'toric:L': after the colon, give comma-separated k=v pairs\n",
         "{tmp}/no-dims.json": "error: code JSON lacks 'qudit_dims'\n",
         "{tmp}/flat-frame.json": "error: code JSON 'frame' must be a list of [re, im] pairs\n",
-    }.get(argv[2] if len(argv) > 2 else None)
+        "{tmp}/dims-not-ints.json": "error: code JSON 'qudit_dims' must be a list of positive ints\n",
+        "{tmp}/k-not-int.json": "error: code JSON 'K' must be an int\n",
+        "{tmp}/braid-item-not-object.json": "error: toric config 'braid' must be a list of",
+        "{tmp}/primal-not-list.json": "error: toric config 'primal' must be a list of [x, y] int sites\n",
+        "{tmp}/site-off-lattice.json": "error: primal site (3, 2) is not a pair of ints in range(3)\n",
+        "{tmp}/list.json": f"error: report {tmp_path}/list.json is not a JSON object\n",
+    }.get(next((a for a in argv if a.startswith(("toric:", "{tmp}"))), None))
     # a malformed variable's message names it and its value
     for mark, var, raw in (
         ("{bad-env}", "HOLOQEC_SEED", "seven"),

@@ -18,7 +18,6 @@ from holoqec import (
     code_from_json,
     code_to_json,
     correction_condition,
-    corrects_s_errors,
     distance,
     five_qubit_code,
     logical_action,
@@ -64,7 +63,6 @@ def test_five_qubit_weight3_logical_not_correctable(code5):
     assert not rep.correctable
     assert rep.witness is not None
     assert rep.max_deviation > 1e-3
-    assert "violates" in rep.witness_message(es)
 
 
 def test_correction_agrees_with_dense_oracle_on_weight2(code5):
@@ -179,20 +177,21 @@ def test_logical_action_rejects_non_preserving(code5):
 
 
 def test_corrects_s_errors(code5):
-    assert corrects_s_errors(code5, 0)
-    assert corrects_s_errors(code5, 1)
-    assert not corrects_s_errors(code5, 2)
+    assert correction_condition(code5, squdit_errors(5, 0)).correctable
+    assert correction_condition(code5, squdit_errors(5, 1)).correctable
+    assert not correction_condition(code5, squdit_errors(5, 2)).correctable
     # consistency with distance: delta > 2s
     assert distance(code5, 3).delta == 3
 
 
 def test_distance_correction_consistency(code5, toric2):
-    """corrects_s_errors(s) iff distance > 2s, for every fixture."""
+    """The weight-<=s Pauli set is correctable iff distance > 2s, for every fixture."""
     for code, max_w in ((code5, 3), (toric2.code, 2)):
         delta = distance(code, max_w).delta
         assert delta is not None
         for s in range(max_w // 2 + 1):
-            assert corrects_s_errors(code, s) == (delta > 2 * s)
+            correctable = correction_condition(code, squdit_errors(code.n, s)).correctable
+            assert correctable == (delta > 2 * s)
 
 
 def test_json_round_trip(code5):

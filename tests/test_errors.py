@@ -31,7 +31,7 @@ def test_squdit_sizes():
 def test_squdit_contains_identity_first():
     es = squdit_errors(3, 2)
     assert es[0] == PauliString.identity(3)
-    labels = es.to_labels()
+    labels = [e.to_label() for e in es]
     assert len(set(labels)) == len(labels)
     for lbl in labels:
         assert PauliString.from_label(lbl).to_label() == lbl
@@ -43,7 +43,7 @@ def test_error_set_arrays_are_read_only_and_round_trip():
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 1
     again = ErrorSet(tuple(es))
-    assert again.n == es.n and again.to_labels() == es.to_labels()
+    assert again.n == es.n and list(again) == list(es)
     for a, b in zip((again.x, again.z, again.phase), (es.x, es.z, es.phase)):
         assert np.array_equal(a, b)
     assert es[-1] == list(es)[-1] == PauliString.from_label("+IIZZ")
@@ -73,8 +73,8 @@ def test_geolocal_s0_identity_only():
 def test_geolocal_t1_equals_squdit():
     lat = GeoLattice.toric_edges(3)
     for s in (1, 2):
-        geo = set(geolocal_errors(lat, s, 1).to_labels())
-        plain = set(squdit_errors(lat.n, s).to_labels())
+        geo = set(geolocal_errors(lat, s, 1))
+        plain = set(squdit_errors(lat.n, s))
         assert geo == plain
 
 

@@ -8,8 +8,8 @@ from holoqec.toric import (
     HalfBraid,
     RoutingError,
     TorusLoop,
+    apply_string,
     compile_braid,
-    validate_evolution,
 )
 from holoqec.toric.strings import step_pauli
 
@@ -66,7 +66,7 @@ def test_torus_loop_length_and_closure(toric3_braidable):
     )
     assert len(ev) == tc.lat.L
     assert end == tc.cfg
-    assert validate_evolution(tc.lat, tc.cfg, ev, tc.separation).valid
+    assert apply_string(tc, ev)[0].cfg == end
 
 
 def test_full_braid_encloses_exactly_one_dual(toric3_braidable):
@@ -105,7 +105,7 @@ def test_half_braid_swaps_positions(toric3_swap):
     )
     assert set(end.primal) == set(tc.cfg.primal)
     assert end.primal != tc.cfg.primal  # actually swapped
-    assert validate_evolution(tc.lat, tc.cfg, ev, tc.separation).valid
+    assert apply_string(tc, ev)[0].cfg == end
 
 
 def test_half_braid_requires_same_type(toric3_braidable):
@@ -136,7 +136,7 @@ def test_dual_mover_full_braid(toric3_braidable):
         tc.lat, tc.cfg, [FullBraid(("dual", 0), ("primal", 1))], tc.separation
     )
     assert end == tc.cfg
-    assert validate_evolution(tc.lat, tc.cfg, ev, tc.separation).valid
+    assert apply_string(tc, ev)[0].cfg == end
     with pytest.raises(RoutingError):
         compile_braid(
             tc.lat, tc.cfg, [FullBraid(("dual", 0), ("primal", 0))], tc.separation
@@ -154,7 +154,7 @@ def test_variant_routings_differ_but_agree(toric3_braidable):
         ev1, end1 = compile_braid(tc.lat, tc.cfg, word, tc.separation, 1)
         assert end0 == end1
         assert ev0.steps != ev1.steps
-        assert validate_evolution(tc.lat, tc.cfg, ev1, tc.separation).valid
+        assert apply_string(tc, ev1)[0].cfg == end1
 
 
 def test_routing_error_when_blocked(lat3):

@@ -15,7 +15,7 @@ from holoqec.toric.build import (
 def stabilizer_eigenvalue(lat, frame, mask, pauli_kind):
     n = lat.n_edges
     p = PauliString(n, mask, 0, 0) if pauli_kind == "x" else PauliString(n, 0, mask, 0)
-    block = frame.data.conj().T @ p.apply(frame.data)
+    block = frame.data.conj().T @ apply_pauli(p, frame.data)
     val = np.trace(block) / frame.K
     assert np.max(np.abs(block - val * np.eye(frame.K))) < 1e-12
     return val
@@ -69,6 +69,22 @@ def test_hardcore_config_error(lat3):
     cfg = DefectConfig(((0, 0), (1, 0)), ())  # distance 1
     with pytest.raises(ConfigError):
         build_code(lat3, cfg, separation=3)
+
+
+@pytest.mark.parametrize(
+    "primal, dual",
+    [
+        (((0, 0, 0), (0, 2, 1)), ()),  # no star would be flipped
+        (((3, 2), (0, 0)), ()),  # would build the code of (0, 2)
+        (((0, 0), (-3, 0)), ()),  # both are the vertex (0, 0)
+        ((), ((0, 0), (1.0, 1))),
+    ],
+    ids=["triple", "past-L", "negative", "float"],
+)
+def test_sites_off_the_lattice_are_refused(lat3, primal, dual):
+    """Refused before the hard-core check, which every one of these also fails."""
+    with pytest.raises(ConfigError, match=r"site .* is not a pair of ints in range\(3\)"):
+        build_code(lat3, DefectConfig(primal, dual), separation=3)
 
 
 def test_l2_defected_build(lat2):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from holoqec import principal_overlap, subspace_distance, subspace_equal
+from holoqec import principal_overlap, subspace_distance
 from holoqec.pauli import alpha, beta, interp_matrix
 from holoqec.toric import (
     DefectConfig,
@@ -13,7 +13,6 @@ from holoqec.toric import (
     build_code,
     det_winding_check,
     edge_code,
-    edge_overlap_modulus,
     face_code,
     lower_coeffs,
     upper_coeffs,
@@ -73,10 +72,10 @@ def test_edge_code_endpoints(toric3_two_primal):
     tc = toric3_two_primal
     e = Edge(0, 0, "h")
     f0 = edge_code(tc, "primal", e, 0.0)
-    assert subspace_equal(f0, tc.frame, 1e-12)
+    assert subspace_distance(f0, tc.frame) < 1e-12
     f1 = edge_code(tc, "primal", e, 1.0)
     moved, _ = apply_string(tc, StringEvolution((Step("primal", e),)))
-    assert subspace_equal(f1, moved.frame, 1e-12)
+    assert subspace_distance(f1, moved.frame) < 1e-12
 
 
 def test_edge_code_overlap_closed_form(toric3_two_primal):
@@ -87,9 +86,8 @@ def test_edge_code_overlap_closed_form(toric3_two_primal):
             edge_code(tc, "primal", e, t), edge_code(tc, "primal", e, tp)
         )
         svals = np.linalg.svd(m, compute_uv=False)
-        closed = edge_overlap_modulus(t, tp)
+        closed = abs(np.cos(np.pi * (t - tp) / 2))
         assert np.max(np.abs(svals - closed)) < 1e-10
-        assert abs(closed - abs(np.cos(np.pi * (t - tp) / 2))) < 1e-12
 
 
 def test_edge_code_injectivity_bound(toric3_two_primal):
@@ -104,7 +102,7 @@ def test_edge_code_injectivity_bound(toric3_two_primal):
                 edge_code(tc, "primal", e, t), edge_code(tc, "primal", e, tp)
             )
             smax = np.linalg.svd(m, compute_uv=False).max()
-            assert smax <= edge_overlap_modulus(t, tp) + 1e-10
+            assert smax <= abs(np.cos(np.pi * (t - tp) / 2)) + 1e-10
             assert smax < 1.0
 
 
@@ -114,9 +112,9 @@ def test_edge_code_from_far_end(toric3_two_primal):
     e = Edge(0, 0, "h")
     moved, _ = apply_string(tc, StringEvolution((Step("primal", e),)))
     for t in (0.25, 0.5, 0.75):
-        assert subspace_equal(
-            edge_code(tc, "primal", e, t), edge_code(moved, "primal", e, t), 1e-11
-        )
+        assert subspace_distance(
+            edge_code(tc, "primal", e, t), edge_code(moved, "primal", e, t)
+        ) < 1e-11
 
 
 def test_edge_code_requires_adjacent_defect(toric3_two_primal):
@@ -130,9 +128,9 @@ def test_edge_code_requires_adjacent_defect(toric3_two_primal):
 def test_face_code_corners(toric3_two_primal):
     tc = toric3_two_primal
     face = (0, 0)
-    assert subspace_equal(face_code(tc, "primal", face, (0.0, 0.0)), tc.frame, 1e-11)
+    assert subspace_distance(face_code(tc, "primal", face, (0.0, 0.0)), tc.frame) < 1e-11
     moved, _ = apply_string(tc, StringEvolution((Step("primal", Edge(0, 0, "h")),)))
-    assert subspace_equal(face_code(tc, "primal", face, (1.0, 0.0)), moved.frame, 1e-11)
+    assert subspace_distance(face_code(tc, "primal", face, (1.0, 0.0)), moved.frame) < 1e-11
 
 
 def test_face_code_boundary_agreement(toric3_two_primal):
@@ -182,7 +180,7 @@ def test_face_code_dual(lat3):
     assert f.K == 4
     # corner A has in-face coordinates (0, 1)
     fa = face_code(tc, "dual", (1, 0), (0.0, 1.0))
-    assert subspace_equal(fa, tc.frame, 1e-11)
+    assert subspace_distance(fa, tc.frame) < 1e-11
 
 
 def test_face_entry_forbidden_when_corner_occupied(lat3):
@@ -206,20 +204,18 @@ def test_face_entry_forbidden_on_hardcore(lat3):
 # -- determinant winding -----------------------------------------------------------
 
 
-def test_det_winding_zero_uniform(lat2, lat3):
-    for lat in (lat2, lat3):
-        for face in lat.faces():
-            assert abs(det_winding_check(lat, face)) < 1e-9
+def test_det_winding_zero_uniform():
+    assert abs(det_winding_check()) < 1e-9
 
 
-def test_det_winding_flip_diagnostic(lat3):
+def test_det_winding_flip_diagnostic():
     for leg in ("CA", "CD", "DB", "AB"):
-        w = det_winding_check(lat3, (0, 0), flip_edge=leg)
+        w = det_winding_check(flip_edge=leg)
         assert abs(abs(w) - 2 * np.pi) < 1e-9
 
 
-def test_det_winding_dual(lat3):
-    assert abs(det_winding_check(lat3, (1, 1), kind="dual")) < 1e-9
+def test_det_winding_dual():
+    assert abs(det_winding_check(kind="dual")) < 1e-9
 
 
 def test_zero_length_traversal_has_no_winding():
