@@ -75,12 +75,20 @@ def _summary(line: str) -> None:
 # -- code and error-set loading ----------------------------------------------
 
 
-def _spec_params(spec: str, *required: str) -> dict[str, str]:
-    """The k=v pairs after the colon of a code or error-set spec."""
+def _spec_params(spec: str, *required: str, optional: tuple[str, ...] = ()) -> dict[str, str]:
+    """The k=v pairs after the colon of a code or error-set spec: each required
+    key once, each optional key at most once, and no other key."""
     pairs = [kv.partition("=") for kv in spec.partition(":")[2].split(",")]
     if not all(eq for _, eq, _ in pairs):
         raise ValueError(f"{spec!r}: after the colon, give comma-separated k=v pairs")
-    params = {k: v for k, _, v in pairs}
+    keys = required + optional
+    params: dict[str, str] = {}
+    for k, _, v in pairs:
+        if k not in keys:
+            raise ValueError(f"{spec!r}: unknown key {k!r} (keys: {', '.join(keys)})")
+        if k in params:
+            raise ValueError(f"{spec!r}: key {k!r} given twice")
+        params[k] = v
     for key in required:
         if key not in params:
             raise ValueError(f"{spec!r} needs {key}=...")
@@ -98,7 +106,7 @@ def _load_code(spec: str):
     if spec == "fivequbit":
         return five_qubit_code(), None
     if spec.startswith("toric:"):
-        params = _spec_params(spec, "L")
+        params = _spec_params(spec, "L", optional=("s",))
         tc = _toric_code(int(params["L"]), int(params.get("s", 0)))
         return tc.code, tc
     path = Path(spec)

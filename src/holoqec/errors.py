@@ -1,14 +1,18 @@
 """Error-set generators: bounded-weight Paulis and geometrically local clusters.
 
-Both generators include the identity and enumerate deterministically (weight,
-then support lexicographically, then letters X < Y < Z per site).  They fill
-an ErrorSet's (x, z, phase) int64 arrays straight from ``pauli_bits``; a
-PauliString is built only when a caller indexes or iterates the set.
+Both generators include the identity first and enumerate deterministically:
+by weight, then support lexicographically, then the 3^w letters on each
+support.  ``squdit_errors`` orders the letters X < Y < Z per site with the
+first site slowest; ``geolocal_errors`` orders them by (x mask, z mask).
+Both fill an ErrorSet's (x, z, phase) int64 arrays straight from
+``pauli_bits``, and ``geolocal_errors`` works on its disks, their unions and
+their subsets as numpy arrays of int64 site masks, in batches bounded by the
+enumeration cap.  A PauliString is built only when a caller indexes or
+iterates the set.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -31,6 +35,7 @@ __all__ = [
 _LETTER_BITS = np.array([[1, 0], [1, 1], [0, 1]], dtype=np.int64)
 
 DEFAULT_ENUMERATION_CAP = 10**6
+_UNION_BATCH = 4096  # disk-index combinations OR-reduced at a time
 
 
 class EnumerationCapError(RuntimeError):
@@ -166,46 +171,72 @@ def geolocal_errors(
     """All Paulis supported on unions of <= s clusters of diameter <= t.
 
     Clusters are disks in the wrapped lattice metric, centered on sites, of
-    radius t/2.  The enumeration deduplicates across overlapping disk
-    choices and refuses up front when the projected size exceeds ``cap``.
+    radius t/2; each is an int64 mask of its sites, read off one distance
+    matrix.  The unions of k <= s distinct disks are OR-reduced from batches
+    of disk-index combinations and deduplicated in first-seen order; each adds
+    4^|union| to the projected size, and the enumeration refuses with
+    ``EnumerationCapError`` at the first union that takes it past ``cap``.
+    The supports (every non-empty subset of a union, counted once) are put
+    in (weight, sites) order, and the 3^w Paulis on a weight-w support in
+    (x mask, z mask) order: a permutation that depends on w alone, so it is
+    found once per weight on the support (0, ..., w-1).
     """
     if s < 0:
         raise ValueError("s must be non-negative")
     if t < 1:
         raise ValueError("cluster diameter t must be at least 1")
     n = lat.n
-    # each disk as the bit mask of its sites; unique disks only, in first-seen order
-    disks = list(dict.fromkeys(
-        sum(1 << q for q in range(n) if lat.site_distance(c, q) <= t / 2 + 1e-9) for c in range(n)
-    ))
+    if n > 63:
+        raise ValueError(f"geolocal site masks are int64 and hold at most 63 sites, not {n}")
+    bits = np.left_shift(1, np.arange(n, dtype=np.int64))
+    pos = np.array(lat.positions, dtype=float).reshape(n, 2)
+    d = np.abs(pos[:, None, :] - pos[None, :, :]) % lat.L
+    d = np.minimum(d, lat.L - d)
+    inside = d[..., 0] + d[..., 1] <= t / 2 + 1e-9
+    masks = np.bitwise_or.reduce(np.where(inside, bits, 0), axis=1)
+    disks = masks[np.sort(np.unique(masks, return_index=True)[1])]
 
     projected = 0
-    unions: dict[int, None] = {}
-    for k in range(1, s + 1):
-        for combo in itertools.combinations(disks, k):
-            u = functools.reduce(operator.or_, combo)
-            if u in unions:
-                continue
-            unions[u] = None
-            projected += 4 ** u.bit_count()
-            if projected > cap:
-                raise EnumerationCapError(projected, cap)
+    unions = np.zeros(0, dtype=np.int64)  # sorted
+    for k in range(1, min(s, disks.size) + 1):
+        combos = itertools.combinations(range(disks.size), k)
+        while (idx := np.fromiter(
+            itertools.chain.from_iterable(itertools.islice(combos, _UNION_BATCH)), dtype=np.intp
+        )).size:
+            u = np.bitwise_or.reduce(disks[idx.reshape(-1, k)], axis=1)
+            u = u[np.sort(np.unique(u, return_index=True)[1])]
+            u = u[~np.isin(u, unions, assume_unique=True)]
+            weights = np.bitwise_count(u)
+            added = sum(c * 4**w for w, c in enumerate(np.bincount(weights).tolist()))
+            if projected + added > cap:
+                for w in weights.tolist():
+                    projected += 4**w
+                    if projected > cap:
+                        raise EnumerationCapError(projected, cap)
+            projected += added
+            unions = np.union1d(unions, u)
 
+    # every non-empty subset of each union, as rows of sorted sites per weight;
+    # the cap bounds these arrays too, since sum 2^|u| <= sum 4^|u| <= cap
+    subsets: dict[int, list[np.ndarray]] = {}
+    weights = np.bitwise_count(unions)
+    for size in np.unique(weights).tolist():
+        sites = np.nonzero(unions[weights == size, None] & bits)[1].reshape(-1, size)
+        for w in range(1, size + 1):
+            pick = np.array(list(itertools.combinations(range(size), w)), dtype=np.intp)
+            subsets.setdefault(w, []).append(sites[:, pick].reshape(-1, w))
     # a support inside several unions is enumerated once: the letters on a
-    # support determine the Pauli, so distinct supports give distinct errors.
-    # Sorting the supports by (weight, support) and each support's letters
-    # by (x_bits, z_bits) orders the errors by (weight, support, x, z).
-    supports: set[tuple[int, ...]] = set()
-    for u in unions:
-        sites = [q for q in range(n) if u >> q & 1]
-        for w in range(1, len(sites) + 1):
-            supports.update(itertools.combinations(sites, w))
+    # support determine the Pauli, so distinct supports give distinct errors
     x, z = [np.zeros(1, dtype=np.int64)], [np.zeros(1, dtype=np.int64)]
-    for w, group in itertools.groupby(sorted(supports, key=lambda s: (len(s), s)), key=len):
-        xw, zw = pauli_bits(np.array(list(group), dtype=np.int64))
-        order = np.lexsort((zw, xw, np.arange(xw.size) // 3**w))
-        x.append(xw[order])
-        z.append(zw[order])
+    for w in sorted(subsets):
+        rows = np.concatenate(subsets[w])
+        rows = rows[np.unique(bits[rows].sum(axis=1), return_index=True)[1]]
+        rows = rows[np.lexsort(rows.T[::-1])]
+        cx, cz = pauli_bits(np.arange(w)[None])
+        order = np.lexsort((cz, cx))
+        xw, zw = pauli_bits(rows)
+        x.append(xw.reshape(-1, 3**w)[:, order].ravel())
+        z.append(zw.reshape(-1, 3**w)[:, order].ravel())
     return ErrorSet.from_bits(n, np.concatenate(x), np.concatenate(z))
 
 

@@ -112,6 +112,10 @@ def test_correctable_weight1(tmp_path):
         ["toric", "build", "--config", "{tmp}/primal-not-list.json"],
         ["toric", "build", "--config", "{tmp}/site-off-lattice.json"],
         ["report-merge", "{tmp}/list.json"],
+        ["correctable", "--code", "toric:L=2", "--errors", "geolocal:s=1,t=2,u=3"],
+        ["distance", "--code", "toric:L=3,S=1", "--max-weight", "1"],
+        ["correctable", "--code", "fivequbit", "--errors", "squdit:s=1,s=2"],
+        ["distance", "--code", "toric:L=2,s=0,L=3", "--max-weight", "1"],
     ],
     ids=[
         "toric-build-without-config",
@@ -140,6 +144,10 @@ def test_correctable_weight1(tmp_path):
         "toric-config-primal-not-a-list",
         "toric-config-site-off-lattice",
         "report-merge-not-an-object",
+        "geolocal-spec-unknown-key",
+        "toric-spec-unknown-key",
+        "squdit-spec-repeated-key",
+        "toric-spec-repeated-key",
     ],
 )
 def test_library_errors_exit_2_with_one_line(argv, tmp_path, capsys, monkeypatch):
@@ -166,7 +174,7 @@ def test_library_errors_exit_2_with_one_line(argv, tmp_path, capsys, monkeypatch
     if "{small-limit}" in argv:  # the stored f rows pass a lowered dense bound
         argv = [a for a in argv if a != "{small-limit}"]
         monkeypatch.setattr("holoqec.frames.DENSE_BYTES_LIMIT", 6000)
-    named = {  # these messages name what is wrong
+    messages = {  # these messages name what is wrong
         "toric:L": "error: 'toric:L': after the colon, give comma-separated k=v pairs\n",
         "{tmp}/no-dims.json": "error: code JSON lacks 'qudit_dims'\n",
         "{tmp}/flat-frame.json": "error: code JSON 'frame' must be a list of [re, im] pairs\n",
@@ -176,7 +184,12 @@ def test_library_errors_exit_2_with_one_line(argv, tmp_path, capsys, monkeypatch
         "{tmp}/primal-not-list.json": "error: toric config 'primal' must be a list of [x, y] int sites\n",
         "{tmp}/site-off-lattice.json": "error: primal site (3, 2) is not a pair of ints in range(3)\n",
         "{tmp}/list.json": f"error: report {tmp_path}/list.json is not a JSON object\n",
-    }.get(next((a for a in argv if a.startswith(("toric:", "{tmp}"))), None))
+        "geolocal:s=1,t=2,u=3": "error: 'geolocal:s=1,t=2,u=3': unknown key 'u' (keys: s, t)\n",
+        "toric:L=3,S=1": "error: 'toric:L=3,S=1': unknown key 'S' (keys: L, s)\n",
+        "squdit:s=1,s=2": "error: 'squdit:s=1,s=2': key 's' given twice\n",
+        "toric:L=2,s=0,L=3": "error: 'toric:L=2,s=0,L=3': key 'L' given twice\n",
+    }
+    named = next((messages[a] for a in argv if a in messages), None)
     # a malformed variable's message names it and its value
     for mark, var, raw in (
         ("{bad-env}", "HOLOQEC_SEED", "seven"),

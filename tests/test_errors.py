@@ -1,8 +1,13 @@
+import functools
 import hashlib
+import itertools
+import operator
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holoqec import (
     EnumerationCapError,
@@ -14,7 +19,55 @@ from holoqec import (
     geolocal_errors,
     squdit_errors,
 )
+from holoqec.errors import DEFAULT_ENUMERATION_CAP, pauli_bits
 from holoqec.pauli import random_unitary
+
+
+def _geolocal_reference(lat, s, t, cap=DEFAULT_ENUMERATION_CAP):
+    """The loop enumeration ``geolocal_errors`` replaced: Python-int disk masks
+    from ``site_distance``, unions in combination order, supports as tuples."""
+    n = lat.n
+    disks = list(dict.fromkeys(
+        sum(1 << q for q in range(n) if lat.site_distance(c, q) <= t / 2 + 1e-9) for c in range(n)
+    ))
+    projected = 0
+    unions: dict[int, None] = {}
+    for k in range(1, s + 1):
+        for combo in itertools.combinations(disks, k):
+            u = functools.reduce(operator.or_, combo)
+            if u in unions:
+                continue
+            unions[u] = None
+            projected += 4 ** u.bit_count()
+            if projected > cap:
+                raise EnumerationCapError(projected, cap)
+    supports: set[tuple[int, ...]] = set()
+    for u in unions:
+        sites = [q for q in range(n) if u >> q & 1]
+        for w in range(1, len(sites) + 1):
+            supports.update(itertools.combinations(sites, w))
+    x, z = [np.zeros(1, dtype=np.int64)], [np.zeros(1, dtype=np.int64)]
+    for w, group in itertools.groupby(sorted(supports, key=lambda s: (len(s), s)), key=len):
+        xw, zw = pauli_bits(np.array(list(group), dtype=np.int64))
+        order = np.lexsort((zw, xw, np.arange(xw.size) // 3**w))
+        x.append(xw[order])
+        z.append(zw[order])
+    return ErrorSet.from_bits(n, np.concatenate(x), np.concatenate(z))
+
+
+def _assert_matches_reference(lat, s, t, cap=DEFAULT_ENUMERATION_CAP):
+    """Equal (x, z, phase) arrays, or a refusal with the same projected size."""
+    try:
+        ref = _geolocal_reference(lat, s, t, cap)
+    except EnumerationCapError as err:
+        with pytest.raises(EnumerationCapError) as got:
+            geolocal_errors(lat, s, t, cap)
+        assert got.value.projected == err.projected
+        return
+    es = geolocal_errors(lat, s, t, cap)
+    assert es.n == ref.n
+    for a, b in zip((es.x, es.z, es.phase), (ref.x, ref.z, ref.phase)):
+        assert np.array_equal(a, b)
 
 
 def test_squdit_sizes():
@@ -134,6 +187,51 @@ def test_geolocal_cap_refuses_before_enumerating_unions():
         tracemalloc.stop()
     assert err.value.projected > 10**6
     assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("L", [2, 3, 4])
+@pytest.mark.parametrize("s", [0, 1, 2, 3])
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_geolocal_matches_the_reference(L, s, t):
+    _assert_matches_reference(GeoLattice.toric_edges(L), s, t)
+
+
+@pytest.mark.parametrize("cap", [0, 1, 100, 10**4])
+@pytest.mark.parametrize("L, s, t", [(2, 1, 1), (2, 3, 2), (3, 2, 1), (3, 3, 1), (4, 3, 1)])
+def test_geolocal_refuses_at_the_reference_union(cap, L, s, t):
+    _assert_matches_reference(GeoLattice.toric_edges(L), s, t, cap)
+
+
+@st.composite
+def _lattices(draw):
+    L = draw(st.integers(2, 5))
+    coordinate = st.one_of(
+        st.integers(0, 4 * L - 1).map(lambda k: k / 4),  # ties at the disk radius
+        st.floats(0, L, exclude_max=True),
+    )
+    n = draw(st.integers(1, 12))
+    return GeoLattice(L, tuple((draw(coordinate), draw(coordinate)) for _ in range(n)))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    lat=_lattices(),
+    s=st.integers(0, 3),
+    t=st.integers(1, 4),
+    cap=st.sampled_from([0, 100, 10**4]),
+)
+def test_geolocal_matches_the_reference_on_random_lattices(lat, s, t, cap):
+    _assert_matches_reference(lat, s, t, cap)
+
+
+def test_geolocal_refuses_more_sites_than_an_int64_mask_holds():
+    """Sites 0..62 fit a non-negative int64 mask; 64 sites are refused up front
+    (at cap 0 any union would be refused, so the guard comes before them)."""
+    line = GeoLattice(64, tuple((float(i), 0.0) for i in range(64)))
+    assert len(geolocal_errors(GeoLattice(64, line.positions[:63]), 1, 1)) == 1 + 63 * 3
+    for lat in (line, GeoLattice.toric_edges(6)):
+        with pytest.raises(ValueError, match=f"int64 and hold at most 63 sites, not {lat.n}"):
+            geolocal_errors(lat, 1, 1, cap=0)
 
 
 def test_conjugated_identity_unchanged():
