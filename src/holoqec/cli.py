@@ -131,9 +131,15 @@ def _load_errors(spec: str, code, toric_code):
 # -- subcommands ---------------------------------------------------------------
 
 
+def _below_one(value: int, flag: str) -> bool:
+    """Say on stderr, naming the flag, that a count is below 1; the verb then exits 2."""
+    if value < 1:
+        print(f"{flag} must be at least 1", file=sys.stderr)
+    return value < 1
+
+
 def cmd_distance(args) -> int:
-    if args.max_weight < 1:
-        print("--max-weight must be at least 1", file=sys.stderr)
+    if _below_one(args.max_weight, "--max-weight"):
         return 2
     code, _ = _load_code(args.code)
     res = distance(code, args.max_weight, tol=args.tol, threads=args.threads)
@@ -227,6 +233,10 @@ def _transversal_path_for_gate(gate: str):
 
 
 def cmd_transversal(args) -> int:
+    if args.subcommand == "trivial-action" and _below_one(args.samples, "--samples"):
+        return 2
+    if args.subcommand == "flatness" and _below_one(args.trials, "--trials"):
+        return 2
     code = five_qubit_code()
     rng = np.random.default_rng(args.seed)
     ok = True
@@ -345,6 +355,8 @@ def _load_toric_config(path: str):
 
 
 def cmd_toric(args) -> int:
+    if args.subcommand == "flatness" and _below_one(args.trials, "--trials"):
+        return 2
     ok = True
     if args.subcommand == "face-checks":
         lat = tt.TorusLattice(args.L)

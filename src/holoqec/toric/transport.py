@@ -292,6 +292,8 @@ def flatness_probe_toric(
     each, xi is the unit phase of tr(m1^dagger m0), m_v = F^dagger F_v, and
     the deviation is max |F_0 - xi F_1| over the transported frames.
     """
+    if trials < 0:
+        raise ValueError(f"trials must be non-negative, got {trials}")
     rng = rng or np.random.default_rng(0)
     candidates = _single_generators(tc.cfg)
     worst = 0.0

@@ -72,17 +72,35 @@ def classify(start: Frame, end: Frame, tol: float = 1e-9) -> HolonomyResult:
     if start.N != end.N or start.K != end.K:
         raise ValueError("frame dimensions differ")
     _, (s, e) = common_rows(start, end)
-    m = s.conj().T @ e
-    k = start.K
-    # loop condition: end must lie in span(start)
-    loop_residual = float(np.linalg.norm(e - s @ m))
-    if loop_residual > max(tol, 1e-7):
-        raise NotALoopError(
-            f"endpoint leaves the starting subspace (residual {loop_residual:.3e})"
-        )
-    unitarity = float(np.max(np.abs(m.conj().T @ m - np.eye(k))))
-    residual = max(loop_residual, unitarity)
+    (m,), (residual,) = _loop_actions(s, e[None], tol)
+    return _classified(m, float(residual), tol)
 
+
+def _loop_actions(s: np.ndarray, e: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The fibre actions M = s^dagger e of a stack of loop ends, and their residuals.
+
+    ``s`` is the (R, K) start block and ``e`` the (P, R, K) end blocks on the
+    same rows.  Raises NotALoopError when an end leaves span(s).  A residual
+    is the larger of the loop residual ||e - s M|| and M's distance from
+    unitarity.
+    """
+    m = s.conj().T @ e
+    d = (e - s @ m).reshape(len(e), 1, -1)
+    dr, di = d.real, d.imag  # ||d|| per end as np.linalg.norm sums it: one BLAS dot per part
+    loop = np.sqrt((dr @ dr.transpose(0, 2, 1) + di @ di.transpose(0, 2, 1))[:, 0, 0])
+    out = np.flatnonzero(loop > max(tol, 1e-7))  # loop condition: end must lie in span(start)
+    if out.size:
+        raise NotALoopError(
+            f"endpoint leaves the starting subspace (residual {loop[out[0]]:.3e})"
+        )
+    k = s.shape[1]
+    unitarity = np.max(np.abs(m.conj().transpose(0, 2, 1) @ m - np.eye(k)), axis=(1, 2))
+    return m, np.maximum(loop, unitarity)
+
+
+def _classified(m: np.ndarray, residual: float, tol: float) -> HolonomyResult:
+    """Classify a loop's K x K fibre action ``m`` as ``classify`` does."""
+    k = len(m)
     tr = complex(np.trace(m))
     if abs(tr) / k > 0.5:
         xi = tr / abs(tr)

@@ -3,11 +3,20 @@ tangent algebra, projectively-trivial-action probes, and holonomies of
 transversal loops.
 
 Everything here stays in per-site factors of any dimensions d_j, site j the
-digit of weight d_0 ... d_{j-1} in a row index.  One site contraction,
-``m @ arr.reshape(-1, d_j, d_0 ... d_{j-1} K)``, applies a matrix or a stack
-of them to an (N,) or (N, K) array.  A site exponential is exp(H) =
+digit of weight d_0 ... d_{j-1} in a row index.  Paths are evaluated as a
+stack: factor j of P endpoints is one (P, d_j, d_j) array, and one site
+contraction, ``m[:, None] @ arr.reshape(P, -1, d_j, d_0 ... d_{j-1} K)``,
+applies it to a (P, N, K) stack of arrays.  A site exponential is exp(H) =
 V diag(e^{iw}) V^dagger with (w, V) the eigenpairs of the Hermitian -iH, one
-batched ``np.linalg.eigh`` per path and site dimension.
+batched ``np.linalg.eigh`` per site dimension over every step of the stack.
+
+The probes run in two passes per chunk of paths: first every rng draw, in
+the order of a path-by-path loop, then one stacked evaluation: one unitarity
+check, one contraction per site, and one stacked F^dagger G with the end
+frame's orthonormality and loop checks.  A chunk holds about
+``_CHUNK_BYTES`` of drawn paths and their N x K end frames, so memory does
+not grow with the trial count.  A single path (``TransversalPath.evaluate``,
+``TransversalUnitary.apply``, ``transversal_holonomy``) is the stack of one.
 """
 
 from __future__ import annotations
@@ -19,10 +28,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .codes import Code
-from .frames import Frame
+from .codes import _CHUNK_BYTES, Code
+from .frames import ORTHONORMALITY_TOL
 from .pauli import SIGMA, PauliString
-from .transport import FlatnessReport, HolonomyResult, classify
+from .transport import FlatnessReport, HolonomyResult, _classified, _loop_actions
 
 __all__ = [
     "TransversalUnitary",
@@ -48,10 +57,74 @@ def _expm_antihermitian(h: np.ndarray) -> np.ndarray:
 
 
 def _on_site(m: np.ndarray, j: int, dims: Sequence[int], arr: np.ndarray) -> np.ndarray:
-    """A (d_j, d_j) matrix, or each of a (..., d_j, d_j) stack, applied to site j of arr."""
-    inner = math.prod(dims[:j]) * math.prod(arr.shape[1:])
-    out = m[..., None, :, :] @ arr.reshape(-1, dims[j], inner)
-    return out.reshape(m.shape[:-2] + arr.shape)
+    """Each of a (P, d_j, d_j) stack applied to site j of the matching (P, N, K) array.
+
+    Either P may be 1, which broadcasts against the other.
+    """
+    p, n, k = arr.shape
+    out = m[:, None] @ arr.reshape(p, -1, dims[j], math.prod(dims[:j]) * k)
+    return out.reshape(-1, n, k)
+
+
+def _check_unitary(factors: Sequence[np.ndarray]) -> None:
+    """ValueError unless every (P, d, d) site factor is unitary: one check per site dimension."""
+    for d in {f.shape[-1] for f in factors}:
+        fs = np.concatenate([f for f in factors if f.shape[-1] == d])
+        if np.max(np.abs(fs.conj().transpose(0, 2, 1) @ fs - np.eye(d))) > UNITARY_TOL:
+            raise ValueError("transversal factors must be unitary")
+
+
+def _apply_factors(factors: Sequence[np.ndarray], arr: np.ndarray) -> np.ndarray:
+    """(P, d_j, d_j) site factors applied to a (P or 1, N, K) array: the (P, N, K) images.
+
+    A site whose factors are all exactly the identity is skipped; applying an
+    identity factor to the paths that have one leaves their values unchanged.
+    """
+    dims = [f.shape[-1] for f in factors]
+    out = arr
+    for j, f in enumerate(factors):
+        if not (f == np.eye(dims[j])).all():
+            out = _on_site(f, j, dims, out)
+    if len(out) < len(factors[0]):  # every factor was the identity
+        out = np.repeat(out, len(factors[0]), axis=0)
+    return out
+
+
+def _endpoint_factors(paths: Sequence["TransversalPath"], t: float = 1.0) -> list[np.ndarray]:
+    """F(t) of every path as site factors: factor j is (P, d_j, d_j); unitarity unchecked.
+
+    t in [0, 1] is distributed evenly over each path's segments.  Every step
+    of every path is exponentiated in one batch per site dimension; then the
+    r-th steps on each site multiply onto their factors at once, r = 0, 1, ...
+    """
+    if not 0.0 <= t <= 1.0:
+        raise ValueError("t must lie in [0, 1]")
+    dims = paths[0].dims
+    if any(path.dims != dims for path in paths):
+        raise ValueError("site dimensions differ")
+    steps = []  # (rank, path, site, fraction, generator); rank counts the site's earlier steps
+    for i, path in enumerate(paths):
+        pos = t * len(path.segments)
+        rank = [0] * len(dims)
+        for k, seg in enumerate(path.segments):
+            if (frac := min(max(pos - k, 0.0), 1.0)) > 0.0:
+                for j, h in enumerate(seg.generators):
+                    if h is not None:  # idle sites are skipped
+                        steps.append((rank[j], i, j, frac, h))
+                        rank[j] += 1
+    factors = {}
+    for d in set(dims):
+        sites = [j for j, dj in enumerate(dims) if dj == d]
+        stack = np.tile(np.eye(d, dtype=complex), (len(sites), len(paths), 1, 1))
+        if on := [s for s in steps if dims[s[2]] == d]:
+            rank, path, site, frac, h = map(np.array, zip(*on))
+            us = _expm_antihermitian(frac[:, None, None] * h)
+            slot = np.searchsorted(sites, site)
+            for r in range(rank.max() + 1):
+                at = rank == r
+                stack[slot[at], path[at]] = us[at] @ stack[slot[at], path[at]]
+        factors.update(zip(sites, stack))
+    return [factors[j] for j in range(len(dims))]
 
 
 @dataclass(frozen=True)
@@ -61,10 +134,7 @@ class TransversalUnitary:
     factors: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        for d in set(self.dims):  # one stacked check per site dimension
-            fs = np.array([f for f in self.factors if f.shape[0] == d])
-            if np.max(np.abs(fs.conj().transpose(0, 2, 1) @ fs - np.eye(d))) > UNITARY_TOL:
-                raise ValueError("transversal factors must be unitary")
+        _check_unitary([f[None] for f in self.factors])
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -75,11 +145,8 @@ class TransversalUnitary:
         dims = self.dims
         if (N := math.prod(dims)) != arr.shape[0]:
             raise ValueError(f"site dims {dims} need {N} rows, got {arr.shape[0]}")
-        out = arr
-        for j, f in enumerate(self.factors):
-            if not np.array_equal(f, np.eye(dims[j])):
-                out = _on_site(f, j, dims, out)
-        return out
+        out = _apply_factors([f[None] for f in self.factors], arr.reshape(1, N, -1))
+        return out.reshape(arr.shape)
 
     @classmethod
     def identity(cls, dims: Sequence[int]) -> "TransversalUnitary":
@@ -119,23 +186,7 @@ class TransversalPath:
 
     def evaluate(self, t: float) -> TransversalUnitary:
         """F(t) with t in [0, 1] distributed evenly over the segments."""
-        if not 0.0 <= t <= 1.0:
-            raise ValueError("t must lie in [0, 1]")
-        pos = t * len(self.segments)
-        steps = [  # (site, fraction * generator) in path order; idle sites are skipped
-            (j, frac * h)
-            for i, seg in enumerate(self.segments)
-            if (frac := min(max(pos - i, 0.0), 1.0)) > 0.0
-            for j, h in enumerate(seg.generators)
-            if h is not None
-        ]
-        factors = [np.eye(d, dtype=complex) for d in self.dims]
-        for d in set(self.dims):  # one batched exponential per site dimension
-            on = [(j, h) for j, h in steps if self.dims[j] == d]
-            us = _expm_antihermitian(np.array([h for _, h in on]).reshape(-1, d, d))
-            for (j, _), u in zip(on, us):
-                factors[j] = u @ factors[j]
-        return TransversalUnitary(tuple(factors))
+        return TransversalUnitary(tuple(f[0] for f in _endpoint_factors([self], t)))
 
     def apply_to(self, arr: np.ndarray, t: float = 1.0) -> np.ndarray:
         return self.evaluate(t).apply(arr)
@@ -260,7 +311,7 @@ def fl_lie_algebra(code: Code, sv_cutoff: float = 1e-10) -> LieAlgebraBasis:
     n_params = sum(d * d for d in code.qudit_dims)
     cols = []  # per site, one column of a per basis element: the SVD nullspace reads this order
     for j, d in enumerate(code.qudit_dims):
-        hv = _on_site(_antiherm_site_basis(d), j, code.qudit_dims, fdata)
+        hv = _on_site(_antiherm_site_basis(d), j, code.qudit_dims, fdata[None])
         resid = (hv - fdata @ (fdata.conj().T @ hv)).reshape(d * d, -1)
         cols.append(np.concatenate([resid.real, resid.imag], axis=1))
     a = np.concatenate(cols).T
@@ -281,6 +332,21 @@ class TrivialActionReport:
         return self.max_residual < self.tol
 
 
+# What a drawn path holds beyond its 16 N K-byte end frame: its generators and
+# the eigh work of its steps, about 6 KiB for a five-qubit flatness path.
+_PATH_BYTES = 8 * 2**10
+
+
+def _chunk(code: Code) -> int:
+    """Paths per stacked evaluation: about _CHUNK_BYTES of paths and end frames."""
+    return max(1, _CHUNK_BYTES // (16 * code.N * code.K + _PATH_BYTES))
+
+
+def _check_count(count: int, what: str) -> None:
+    if count < 0:
+        raise ValueError(f"{what} must be non-negative, got {count}")
+
+
 def check_projectively_trivial_action(
     code: Code,
     basis: LieAlgebraBasis,
@@ -289,19 +355,48 @@ def check_projectively_trivial_action(
     rng: np.random.Generator | None = None,
 ) -> TrivialActionReport:
     """Exponentials of random algebra elements must act as a unit phase on C."""
+    _check_count(samples, "samples")
     rng = rng or np.random.default_rng(0)
     fdata = code.frame.data
     worst = 0.0
-    eye = np.eye(code.K)
-    for _ in range(samples):
-        gens = basis.random_element(rng)
-        m = fdata.conj().T @ exponential_path(code.qudit_dims, gens).apply_to(fdata)
-        xi = np.trace(m) / code.K
-        residual = max(
-            float(np.max(np.abs(m - xi * eye))), abs(abs(xi) - 1.0)
+    for start in range(0, samples, _chunk(code)):
+        paths = [
+            exponential_path(code.qudit_dims, basis.random_element(rng))
+            for _ in range(min(_chunk(code), samples - start))
+        ]
+        m = fdata.conj().T @ _lift(code, paths)
+        xi = np.trace(m, axis1=1, axis2=2) / code.K
+        # hypot is abs of one complex scalar: residuals equal a path-by-path loop's bit for bit
+        residual = np.maximum(
+            np.max(np.abs(m - xi[:, None, None] * np.eye(code.K)), axis=(1, 2)),
+            np.abs(np.hypot(xi.real, xi.imag) - 1.0),
         )
-        worst = max(worst, residual)
+        worst = max(worst, float(residual.max()))
     return TrivialActionReport(samples, worst, tol)
+
+
+def _lift(code: Code, paths: Sequence[TransversalPath]) -> np.ndarray:
+    """The (P, N, K) images of the code frame under each path's unitarity-checked endpoint."""
+    factors = _endpoint_factors(paths)
+    _check_unitary(factors)
+    return _apply_factors(factors, code.frame.data[None])
+
+
+def _fibre_actions(
+    code: Code, paths: Sequence[TransversalPath], tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lift the code frame F along each path: the (P, K, K) actions F^dagger G and residuals.
+
+    Each end frame G is checked as Frame checks it (orthonormal columns, else
+    ValueError) and as classify does (NotALoopError when it leaves span F).
+    """
+    ends = _lift(code, paths)
+    gram = ends.conj().transpose(0, 2, 1) @ ends
+    err = np.max(np.abs(gram - np.eye(code.K)), axis=(1, 2))
+    if not np.all(err < ORTHONORMALITY_TOL):  # a NaN fails too
+        bad = err[~(err < ORTHONORMALITY_TOL)][0]
+        raise ValueError(f"columns not orthonormal (max deviation {bad:.3e})")
+    return _loop_actions(code.frame.data, ends, tol)
 
 
 def transversal_holonomy(
@@ -311,14 +406,16 @@ def transversal_holonomy(
 
     Raises NotALoopError when the endpoint does not preserve the codespace.
     """
-    end = Frame(path.apply_to(code.frame.data))
-    return classify(code.frame, end, tol)
+    (m,), (residual,) = _fibre_actions(code, [path], tol)
+    return _classified(m, float(residual), tol)
 
 
-def _phase_adjusted_deviation(m1: np.ndarray, m2: np.ndarray) -> float:
-    t = np.trace(m2.conj().T @ m1)
-    xi = t / abs(t) if abs(t) > 1e-12 else 1.0
-    return float(np.max(np.abs(m1 - xi * m2)))
+def _phase_adjusted_deviation(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
+    """max |m1 - xi m2| per pair of (P, K, K) stacks, xi the unit phase of tr(m2^dagger m1)."""
+    t = np.trace(m2.conj().transpose(0, 2, 1) @ m1, axis1=1, axis2=2)
+    a = np.hypot(t.real, t.imag)  # abs of one complex scalar, bit for bit
+    xi = np.where(a > 1e-12, t / np.where(a > 1e-12, a, 1.0), 1.0)
+    return np.max(np.abs(m1 - xi[:, None, None] * m2), axis=(1, 2))
 
 
 def flatness_probe_transversal(
@@ -335,23 +432,23 @@ def flatness_probe_transversal(
     against (a) a random subdivision reparametrization and (b) the same path
     pre-composed with the exponential of a random tangent-algebra element.
     """
+    _check_count(trials, "trials")
     rng = rng or np.random.default_rng(0)
     basis = fl_lie_algebra(code)
+    per_chunk = max(1, _chunk(code) // 3)  # three paths a trial
     worst = 0.0
-    for _ in range(trials):
-        word_len = int(rng.integers(1, 4))
-        p = PauliString.identity(code.n)
-        for _ in range(word_len):
-            p = p * loop_endpoints[int(rng.integers(0, len(loop_endpoints)))]
-        path1 = pauli_generator_path(p)
-        m1 = transversal_holonomy(code, path1).logical
-
-        pieces = [int(rng.integers(2, 5)) for _ in path1.segments]
-        m2 = transversal_holonomy(code, path1.subdivide(pieces)).logical
-        worst = max(worst, _phase_adjusted_deviation(m1, m2))
-
-        gens = basis.random_element(rng)
-        pre = exponential_path(code.qudit_dims, gens)
-        m3 = transversal_holonomy(code, pre.compose(path1)).logical
-        worst = max(worst, _phase_adjusted_deviation(m1, m3))
+    for start in range(0, trials, per_chunk):
+        paths = []
+        for _ in range(min(per_chunk, trials - start)):
+            p = PauliString.identity(code.n)
+            for _ in range(int(rng.integers(1, 4))):
+                p = p * loop_endpoints[int(rng.integers(0, len(loop_endpoints)))]
+            path1 = pauli_generator_path(p)
+            pieces = [int(rng.integers(2, 5)) for _ in path1.segments]
+            pre = exponential_path(code.qudit_dims, basis.random_element(rng))
+            paths += [path1, path1.subdivide(pieces), pre.compose(path1)]
+        m, _ = _fibre_actions(code, paths, 1e-9)  # transversal_holonomy's default tol
+        m1 = np.concatenate([m[0::3], m[0::3]])
+        dev = _phase_adjusted_deviation(m1, np.concatenate([m[1::3], m[2::3]]))
+        worst = max(worst, float(dev.max()))
     return FlatnessReport(trials, worst, tol)

@@ -77,6 +77,25 @@ def test_distance_usage_error():
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["transversal", "trivial-action", "--samples", "-1"], "--samples"),
+        (["transversal", "trivial-action", "--samples", "0"], "--samples"),
+        (["transversal", "flatness", "--trials", "-3"], "--trials"),
+        (["transversal", "flatness", "--trials", "0"], "--trials"),
+        (["toric", "flatness", "--config", "{cfg}", "--trials", "0"], "--trials"),
+    ],
+)
+def test_probe_counts_below_one_exit_2(argv, flag, tmp_path, capsys):
+    cfg = braid_config(tmp_path, [])
+    out = tmp_path / "r.json"
+    argv = [a.replace("{cfg}", cfg) for a in argv]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"{flag} must be at least 1\n"
+    assert not out.exists()
+
+
 def test_correctable_weight1(tmp_path):
     rc = main(["correctable", "--code", "fivequbit", "--errors", "squdit:s=1",
                "--expect", "true", "--out", str(tmp_path / "r.json")])

@@ -17,16 +17,18 @@ from holoqec import (
     pauli_generator_path,
     transversal_holonomy,
 )
+from holoqec import transversal
 from holoqec.cli import _transversal_path_for_gate
 from holoqec.fivequbit import R3, STABILIZER_LABELS, logical_x, logical_z
 from holoqec.pauli import SIGMA, apply_pauli, random_unitary
-from holoqec.transport import NONTRIVIAL_LOGICAL, PHASE_ONLY, NotALoopError
+from holoqec.transport import NONTRIVIAL_LOGICAL, PHASE_ONLY, NotALoopError, classify
 from holoqec.transversal import (
     PathSegment,
     TransversalPath,
     TransversalUnitary,
     _antiherm_site_basis,
     _expm_antihermitian,
+    _fibre_actions,
 )
 
 
@@ -367,3 +369,148 @@ def test_transversal_orbit_preserves_distance(code5, rng):
         u = TransversalUnitary(tuple(random_unitary(2, rng) for _ in range(5)))
         moved = Code(Frame(u.apply(code5.frame.data)), code5.qudit_dims)
         assert distance(moved, 3).delta == 3
+
+
+# -- the stacked probes against the path-by-path loop ----------------------------
+
+
+def _phase_adjusted_deviation_reference(m1, m2):
+    t = np.trace(m2.conj().T @ m1)
+    xi = t / abs(t) if abs(t) > 1e-12 else 1.0
+    return float(np.max(np.abs(m1 - xi * m2)))
+
+
+def flatness_reference(code, endpoints, trials, rng):
+    """The flatness probe as a loop of one holonomy per path, drawing as the probe does."""
+    basis = fl_lie_algebra(code)
+    worst = 0.0
+    for _ in range(trials):
+        word_len = int(rng.integers(1, 4))
+        p = PauliString.identity(code.n)
+        for _ in range(word_len):
+            p = p * endpoints[int(rng.integers(0, len(endpoints)))]
+        path1 = pauli_generator_path(p)
+        m1 = transversal_holonomy(code, path1).logical
+        pieces = [int(rng.integers(2, 5)) for _ in path1.segments]
+        m2 = transversal_holonomy(code, path1.subdivide(pieces)).logical
+        worst = max(worst, _phase_adjusted_deviation_reference(m1, m2))
+        pre = exponential_path(code.qudit_dims, basis.random_element(rng))
+        m3 = transversal_holonomy(code, pre.compose(path1)).logical
+        worst = max(worst, _phase_adjusted_deviation_reference(m1, m3))
+    return worst
+
+
+def trivial_action_reference(code, basis, samples, rng):
+    """The trivial-action probe as a loop of one path at a time."""
+    fdata = code.frame.data
+    worst = 0.0
+    for _ in range(samples):
+        path = exponential_path(code.qudit_dims, basis.random_element(rng))
+        m = fdata.conj().T @ path.apply_to(fdata)
+        xi = np.trace(m) / code.K
+        residual = max(float(np.max(np.abs(m - xi * np.eye(code.K)))), abs(abs(xi) - 1.0))
+        worst = max(worst, residual)
+    return worst
+
+
+def mixed_repetition_code():
+    """span{|0,0,0>, |1,1,1>} on a qutrit and two qubits: rows 0 and 1 + 3 + 6."""
+    data = np.zeros((12, 2), dtype=complex)
+    data[0, 0] = data[10, 1] = 1.0
+    return Code(Frame(data), (3, 2, 2))
+
+
+# one path per chunk, so every chunk boundary is crossed
+SMALL_CHUNK = 1
+
+
+@pytest.mark.parametrize("chunk_bytes", [None, SMALL_CHUNK])
+def test_flatness_probe_equals_the_path_by_path_loop(code5, chunk_bytes, monkeypatch):
+    if chunk_bytes is not None:
+        monkeypatch.setattr(transversal, "_CHUNK_BYTES", chunk_bytes)
+    for seed in range(10):
+        rep = flatness_probe_transversal(
+            code5, loop_endpoints(), 10, rng=np.random.default_rng(seed)
+        )
+        ref = flatness_reference(code5, loop_endpoints(), 10, np.random.default_rng(seed))
+        assert rep.max_phase_adjusted_deviation == ref
+
+
+@pytest.mark.parametrize("chunk_bytes", [None, SMALL_CHUNK])
+@pytest.mark.parametrize(
+    "make_code", ["code5", "qutrit-repetition", "mixed-322"]
+)
+def test_trivial_action_equals_the_path_by_path_loop(
+    make_code, chunk_bytes, code5, monkeypatch
+):
+    code = {
+        "code5": code5,
+        "qutrit-repetition": repetition_code(3, 3),
+        "mixed-322": mixed_repetition_code(),
+    }[make_code]
+    if chunk_bytes is not None:
+        monkeypatch.setattr(transversal, "_CHUNK_BYTES", chunk_bytes)
+    basis = fl_lie_algebra(code)
+    for seed in range(10):
+        rep = check_projectively_trivial_action(
+            code, basis, 20, rng=np.random.default_rng(seed)
+        )
+        ref = trivial_action_reference(code, basis, 20, np.random.default_rng(seed))
+        assert rep.max_residual == ref
+
+
+@pytest.mark.parametrize("gate", ["X", "Z", "R3", *(f"stabilizer-{k}" for k in range(1, 5))])
+def test_holonomy_equals_classify_of_the_end_frame(code5, gate):
+    """The stack of one gives what classify gives on the lifted end frame, bit for bit."""
+    path = _transversal_path_for_gate(gate)
+    res = transversal_holonomy(code5, path)
+    ref = classify(code5.frame, Frame(path.apply_to(code5.frame.data)))
+    assert np.array_equal(res.logical, ref.logical)
+    assert (res.phase, res.classification, res.residual) == (
+        ref.phase,
+        ref.classification,
+        ref.residual,
+    )
+
+
+def test_flatness_probe_rejects_a_non_logical_endpoint(code5):
+    bad = PauliString.from_label("XIIII")
+    for endpoints in ([bad], loop_endpoints() + [bad]):
+        with pytest.raises(NotALoopError):
+            flatness_probe_transversal(code5, endpoints, 20, rng=np.random.default_rng(1))
+
+
+def test_one_failing_path_fails_the_stack(code5):
+    good = [pauli_generator_path(p) for p in loop_endpoints()]
+    bad = pauli_generator_path(PauliString.from_label("XIIII"))
+    m, residual = _fibre_actions(code5, good, 1e-9)
+    assert m.shape == (6, 2, 2) and np.all(residual < 1e-9)
+    with pytest.raises(NotALoopError):
+        _fibre_actions(code5, good[:3] + [bad] + good[3:], 1e-9)
+
+
+def test_probes_refuse_negative_counts(code5):
+    basis = fl_lie_algebra(code5)
+    with pytest.raises(ValueError, match="trials"):
+        flatness_probe_transversal(code5, loop_endpoints(), -1)
+    with pytest.raises(ValueError, match="samples"):
+        check_projectively_trivial_action(code5, basis, -1)
+    assert flatness_probe_transversal(code5, loop_endpoints(), 0).ok
+    assert check_projectively_trivial_action(code5, basis, 0).ok
+
+
+def _flatness_peak(code5, trials):
+    tracemalloc.start()
+    try:
+        flatness_probe_transversal(code5, loop_endpoints(), trials, rng=np.random.default_rng(0))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_flatness_memory_does_not_grow_with_trials(code5):
+    """3 000 trials are ten chunks: past the 30-trial peak (one small chunk) the peak
+    grows by at most one chunk's budget, where holding every path would take ~50 MiB."""
+    _flatness_peak(code5, 3)  # first-call caches
+    small, large = _flatness_peak(code5, 30), _flatness_peak(code5, 3000)
+    assert large < small + transversal._CHUNK_BYTES
