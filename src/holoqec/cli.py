@@ -61,7 +61,8 @@ def _emit(report: dict, out: str | None) -> None:
     report = dict(report)
     report["schema_version"] = SCHEMA_VERSION
     report["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    text = json.dumps(report, indent=2, sort_keys=True, default=_json_default)
+    # a NaN or an infinity raises ValueError: a report is always valid JSON
+    text = json.dumps(report, indent=2, sort_keys=True, default=_json_default, allow_nan=False)
     if out:
         Path(out).write_text(text + "\n")
     else:
@@ -505,6 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    tol_flag = args.tol is not None
     try:
         for name, cast, fallback in (
             ("seed", int, 0),
@@ -519,6 +521,10 @@ def main(argv=None) -> int:
                     setattr(args, name, fallback if raw is None else cast(raw))
                 except ValueError as exc:
                     raise ValueError(f"{var}={raw!r}: {exc}") from None
+        if not 0.0 < args.tol < float("inf"):  # a NaN fails too
+            var = ENV_PREFIX + "TOL"
+            where = "--tol" if tol_flag else f"{var}={os.environ[var]!r}:"
+            raise ValueError(f"{where} must be finite and positive, got {args.tol}")
         return args.func(args)
     except (tt.RoutingError, ValueError, EnumerationCapError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

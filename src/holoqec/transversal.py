@@ -4,26 +4,29 @@ transversal loops.
 
 Everything here stays in per-site factors of any dimensions d_j, site j the
 digit of weight d_0 ... d_{j-1} in a row index.  Paths are evaluated as a
-stack: factor j of P endpoints is one (P, d_j, d_j) array, and one site
-contraction, ``m[:, None] @ arr.reshape(P, -1, d_j, d_0 ... d_{j-1} K)``,
-applies it to a (P, N, K) stack of arrays.  A site exponential is exp(H) =
-V diag(e^{iw}) V^dagger with (w, V) the eigenpairs of the Hermitian -iH, one
-batched ``np.linalg.eigh`` per site dimension over every step of the stack.
+stack from one step table: per site dimension, the distinct anti-Hermitian
+step generators, checked once, and each path's steps on each site as rows of
+it.  Each row is exponentiated once, exp(H) = V diag(e^{iw}) V^dagger with
+(w, V) the eigenpairs of the Hermitian -iH, in one batched
+``np.linalg.eigh`` per site dimension; a repeated step reuses it.  Factor j
+of P endpoints is one (P, d_j, d_j) array, and one site contraction,
+``m[:, None] @ arr.reshape(P, -1, d_j, d_0 ... d_{j-1} K)``, applies it to a
+(P, N, K) stack of arrays.
 
-The probes run in two passes per chunk of paths: first every rng draw, in
-the order of a path-by-path loop, then one stacked evaluation: one unitarity
-check, one contraction per site, and one stacked F^dagger G with the end
-frame's orthonormality and loop checks.  A chunk holds about
-``_CHUNK_BYTES`` of drawn paths and their N x K end frames, so memory does
-not grow with the trial count.  A single path (``TransversalPath.evaluate``,
-``TransversalUnitary.apply``, ``transversal_holonomy``) is the stack of one.
+The probes draw each chunk's paths as lists of segments, every rng draw in
+the order of a path-by-path loop, fill one table, and evaluate it with one
+unitarity check, one contraction per site, and one stacked F^dagger G with
+the end frame's orthonormality and loop checks.  A chunk holds about
+``_CHUNK_BYTES`` of paths and their N x K end frames, so memory does not
+grow with the trial count.  A ``TransversalPath`` is the stack of one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -70,8 +73,8 @@ def _check_unitary(factors: Sequence[np.ndarray]) -> None:
     """ValueError unless every (P, d, d) site factor is unitary: one check per site dimension."""
     for d in {f.shape[-1] for f in factors}:
         fs = np.concatenate([f for f in factors if f.shape[-1] == d])
-        if np.max(np.abs(fs.conj().transpose(0, 2, 1) @ fs - np.eye(d))) > UNITARY_TOL:
-            raise ValueError("transversal factors must be unitary")
+        if not np.max(np.abs(fs.conj().transpose(0, 2, 1) @ fs - np.eye(d))) <= UNITARY_TOL:
+            raise ValueError("transversal factors must be unitary")  # a NaN fails too
 
 
 def _apply_factors(factors: Sequence[np.ndarray], arr: np.ndarray) -> np.ndarray:
@@ -90,40 +93,69 @@ def _apply_factors(factors: Sequence[np.ndarray], arr: np.ndarray) -> np.ndarray
     return out
 
 
-def _endpoint_factors(paths: Sequence["TransversalPath"], t: float = 1.0) -> list[np.ndarray]:
-    """F(t) of every path as site factors: factor j is (P, d_j, d_j); unitarity unchecked.
+def _step_table(
+    dims: tuple[int, ...], paths: Sequence[Sequence[Sequence]], t: float = 1.0
+) -> tuple:
+    """The steps of paths given as segments of per-site generators (None: idle).
 
-    t in [0, 1] is distributed evenly over each path's segments.  Every step
-    of every path is exponentiated in one batch per site dimension; then the
-    r-th steps on each site multiply onto their factors at once, r = 0, 1, ...
+    t in [0, 1] is spread evenly over each path's segments, so a segment runs
+    for a fraction f of its generator h.  The table is (dims, P, gens, steps):
+    gens[d] stacks each distinct f h on d-level sites once, h told apart by
+    identity, and is checked here; a column (rank, path, site, row) of steps
+    applies exp of gens[d][row] to that site of that path after rank others.
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError("t must lie in [0, 1]")
-    dims = paths[0].dims
-    if any(path.dims != dims for path in paths):
-        raise ValueError("site dimensions differ")
-    steps = []  # (rank, path, site, fraction, generator); rank counts the site's earlier steps
-    for i, path in enumerate(paths):
-        pos = t * len(path.segments)
-        rank = [0] * len(dims)
-        for k, seg in enumerate(path.segments):
-            if (frac := min(max(pos - k, 0.0), 1.0)) > 0.0:
-                for j, h in enumerate(seg.generators):
-                    if h is not None:  # idle sites are skipped
-                        steps.append((rank[j], i, j, frac, h))
-                        rank[j] += 1
+    rows: dict[tuple[int, float], int] = {}
+    gens: dict[int, tuple[list, list]] = {d: ([], []) for d in dims}  # generators, fractions
+    steps = []
+    for i, segments in enumerate(paths):
+        pos, rank = t * len(segments), [0] * len(dims)
+        for k, seg in enumerate(segments):
+            if len(seg) != len(dims):
+                raise ValueError("segment arity does not match site count")
+            frac = min(max(pos - k, 0.0), 1.0)
+            for j, h in enumerate(seg if frac > 0.0 else ()):
+                if h is not None:  # idle sites are skipped
+                    if (row := rows.get(key := (id(h), frac))) is None:
+                        if np.asarray(h).shape != (d := dims[j], d):
+                            raise ValueError(f"a generator on a {d}-level site must be {d} x {d}")
+                        row = rows[key] = len(gens[d][0])
+                        gens[d][0].append(h)
+                        gens[d][1].append(frac)
+                    steps.append((rank[j], i, j, row))
+                    rank[j] += 1
+    table = {}
+    for d, (hs, fs) in gens.items():
+        g = table[d] = np.array(fs)[:, None, None] * np.array(hs).reshape(-1, d, d)
+        if len(g) and not np.max(np.abs(g + g.conj().transpose(0, 2, 1))) <= 1e-10:
+            raise ValueError("generators must be anti-Hermitian")  # a NaN fails too
+    return dims, len(paths), table, np.fromiter(chain.from_iterable(steps), int).reshape(-1, 4).T
+
+
+def _endpoint_factors(
+    dims: tuple[int, ...], count: int, gens: dict[int, np.ndarray], steps: np.ndarray
+) -> list[np.ndarray]:
+    """The endpoints of a step table's paths as site factors: factor j is (P, d_j, d_j);
+    unitarity unchecked.
+
+    Each row of the table is exponentiated once, in one batch per site
+    dimension; then the r-th steps on each site multiply onto their factors
+    at once, r = 0, 1, ...
+    """
+    rank, path, site, row = steps
+    site_dims = np.array(dims)
     factors = {}
     for d in set(dims):
-        sites = [j for j, dj in enumerate(dims) if dj == d]
-        stack = np.tile(np.eye(d, dtype=complex), (len(sites), len(paths), 1, 1))
-        if on := [s for s in steps if dims[s[2]] == d]:
-            rank, path, site, frac, h = map(np.array, zip(*on))
-            us = _expm_antihermitian(frac[:, None, None] * h)
-            slot = np.searchsorted(sites, site)
-            for r in range(rank.max() + 1):
-                at = rank == r
-                stack[slot[at], path[at]] = us[at] @ stack[slot[at], path[at]]
-        factors.update(zip(sites, stack))
+        sites = np.flatnonzero(site_dims == d)
+        stack = np.tile(np.eye(d, dtype=complex), (len(sites) * count, 1, 1))
+        if (on := site_dims[site] == d).any():
+            us = _expm_antihermitian(gens[d])[row[on]]
+            slot, at_rank = np.searchsorted(sites, site[on]) * count + path[on], rank[on]
+            for r in range(at_rank.max() + 1):
+                at = at_rank == r
+                stack[slot[at]] = us[at] @ stack[slot[at]]
+        factors.update(zip(sites.tolist(), stack.reshape(len(sites), count, d, d)))
     return [factors[j] for j in range(len(dims))]
 
 
@@ -168,25 +200,19 @@ class TransversalPath:
     segments: tuple[PathSegment, ...]
 
     def __post_init__(self):
-        gens: dict[int, list[np.ndarray]] = {}  # per site dimension, over distinct segments
-        for seg in {id(seg): seg for seg in self.segments}.values():  # subdivide repeats one
-            if len(seg.generators) != len(self.dims):
-                raise ValueError("segment arity does not match site count")
-            for h, d in zip(seg.generators, self.dims):
-                if h is not None:
-                    if np.shape(h) != (d, d):
-                        raise ValueError(f"a generator on a {d}-level site must be {d} x {d}")
-                    gens.setdefault(d, []).append(h)
-        for hs in map(np.array, gens.values()):
-            if np.max(np.abs(hs + hs.conj().transpose(0, 2, 1))) > 1e-10:
-                raise ValueError("generators must be anti-Hermitian")
+        # the step table of F(1), built once: building it checks every generator
+        object.__setattr__(self, "_end", self._steps(1.0))
 
     def endpoint(self) -> TransversalUnitary:
         return self.evaluate(1.0)
 
     def evaluate(self, t: float) -> TransversalUnitary:
         """F(t) with t in [0, 1] distributed evenly over the segments."""
-        return TransversalUnitary(tuple(f[0] for f in _endpoint_factors([self], t)))
+        factors = _endpoint_factors(*(self._end if t == 1.0 else self._steps(t)))
+        return TransversalUnitary(tuple(f[0] for f in factors))
+
+    def _steps(self, t: float) -> tuple:
+        return _step_table(self.dims, [[seg.generators for seg in self.segments]], t)
 
     def apply_to(self, arr: np.ndarray, t: float = 1.0) -> np.ndarray:
         return self.evaluate(t).apply(arr)
@@ -220,21 +246,30 @@ def pauli_generator_path(p: PauliString) -> TransversalPath:
     Non-identity sites carry the generator i (sigma - 1) pi/2; any net phase
     of p is realized by a commuting global-phase generator on site 0.
     """
-    dims = (2,) * p.n
-    gens: list[np.ndarray | None] = [None] * p.n
-    n_y = 0
-    for j in range(p.n):
-        letter = p.letter(j)
-        if letter == "Y":
-            n_y += 1
-        if letter != "I":
-            gens[j] = 1j * (SIGMA[letter] - np.eye(2)) * np.pi / 2
-    phase_quarter = (p.phase_exp - n_y) % 4
+    return TransversalPath((2,) * p.n, (PathSegment(_pauli_generators(p)),))
+
+
+@lru_cache(maxsize=4096)
+def _pauli_generators(p: PauliString, pieces: int = 1) -> tuple[np.ndarray | None, ...]:
+    """The site generators of ``pauli_generator_path(p).subdivide([pieces])``: shared arrays."""
+    letters = [p.letter(j) for j in range(p.n)]
+    quarter = (p.phase_exp - letters.count("Y")) % 4
+    return tuple(
+        _site_generator(x, quarter if j == 0 else 0, pieces) for j, x in enumerate(letters)
+    )
+
+
+@cache
+def _site_generator(letter: str, phase_quarter: int, pieces: int) -> np.ndarray | None:
+    """One site of ``pauli_generator_path``, divided as ``subdivide`` divides; read-only."""
+    gen = None if letter == "I" else 1j * (SIGMA[letter] - np.eye(2)) * np.pi / 2
     if phase_quarter:
-        theta = phase_quarter * np.pi / 2
-        extra = 1j * theta * np.eye(2)
-        gens[0] = extra if gens[0] is None else gens[0] + extra
-    return TransversalPath(dims, (PathSegment(tuple(gens)),))
+        extra = 1j * (phase_quarter * np.pi / 2) * np.eye(2)
+        gen = extra if gen is None else gen + extra
+    if gen is not None:
+        gen = gen if pieces == 1 else gen / pieces
+        gen.setflags(write=False)
+    return gen
 
 
 def exponential_path(
@@ -282,14 +317,18 @@ class LieAlgebraBasis:
 
     def generators(self, coeffs: np.ndarray) -> list[np.ndarray | None]:
         """Per-site anti-Hermitian matrices for a parameter vector."""
-        out: list[np.ndarray | None] = []
-        pos = 0
+        return list(self._site_generators(coeffs[None])[0])
+
+    def _site_generators(self, coeffs: np.ndarray) -> list[tuple[np.ndarray | None, ...]]:
+        """``generators`` of each row of a (P, n_params) array, one product per site."""
+        sites, pos = [], 0
         for d in self.site_dims:
             basis = _antiherm_site_basis(d).reshape(d * d, d * d)
-            h = (coeffs[pos : pos + d * d] @ basis).reshape(d, d)
+            hs = (coeffs[:, pos : pos + d * d] @ basis).reshape(-1, d, d)
             pos += d * d
-            out.append(h if np.max(np.abs(h)) > 1e-14 else None)
-        return out
+            live = np.max(np.abs(hs), axis=(1, 2)) > 1e-14
+            sites.append([h if on else None for h, on in zip(hs, live)])
+        return list(zip(*sites))
 
     def element(self, k: int) -> list[np.ndarray | None]:
         return self.generators(self.coefficients[k])
@@ -332,9 +371,10 @@ class TrivialActionReport:
         return self.max_residual < self.tol
 
 
-# What a drawn path holds beyond its 16 N K-byte end frame: its generators and
-# the eigh work of its steps, about 6 KiB for a five-qubit flatness path.
-_PATH_BYTES = 8 * 2**10
+# What a drawn path holds beyond its 16 N K-byte end frame: its steps, its rows
+# of the step table with their eigh work, and its share of the site contractions'
+# images; tracemalloc gives about 3.5 KiB for a five-qubit flatness path.
+_PATH_BYTES = 4 * 2**10
 
 
 def _chunk(code: Code) -> int:
@@ -360,11 +400,12 @@ def check_projectively_trivial_action(
     fdata = code.frame.data
     worst = 0.0
     for start in range(0, samples, _chunk(code)):
-        paths = [
-            exponential_path(code.qudit_dims, basis.random_element(rng))
+        coeffs = [  # as random_element draws them
+            basis.coefficients.T @ rng.normal(size=basis.dimension)
             for _ in range(min(_chunk(code), samples - start))
         ]
-        m = fdata.conj().T @ _lift(code, paths)
+        paths = [[gens] for gens in basis._site_generators(np.array(coeffs))]
+        m = fdata.conj().T @ _lift(code, _step_table(code.qudit_dims, paths))
         xi = np.trace(m, axis1=1, axis2=2) / code.K
         # hypot is abs of one complex scalar: residuals equal a path-by-path loop's bit for bit
         residual = np.maximum(
@@ -375,22 +416,20 @@ def check_projectively_trivial_action(
     return TrivialActionReport(samples, worst, tol)
 
 
-def _lift(code: Code, paths: Sequence[TransversalPath]) -> np.ndarray:
+def _lift(code: Code, table: tuple) -> np.ndarray:
     """The (P, N, K) images of the code frame under each path's unitarity-checked endpoint."""
-    factors = _endpoint_factors(paths)
+    factors = _endpoint_factors(*table)
     _check_unitary(factors)
     return _apply_factors(factors, code.frame.data[None])
 
 
-def _fibre_actions(
-    code: Code, paths: Sequence[TransversalPath], tol: float
-) -> tuple[np.ndarray, np.ndarray]:
+def _fibre_actions(code: Code, table: tuple, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Lift the code frame F along each path: the (P, K, K) actions F^dagger G and residuals.
 
     Each end frame G is checked as Frame checks it (orthonormal columns, else
     ValueError) and as classify does (NotALoopError when it leaves span F).
     """
-    ends = _lift(code, paths)
+    ends = _lift(code, table)
     gram = ends.conj().transpose(0, 2, 1) @ ends
     err = np.max(np.abs(gram - np.eye(code.K)), axis=(1, 2))
     if not np.all(err < ORTHONORMALITY_TOL):  # a NaN fails too
@@ -406,7 +445,7 @@ def transversal_holonomy(
 
     Raises NotALoopError when the endpoint does not preserve the codespace.
     """
-    (m,), (residual,) = _fibre_actions(code, [path], tol)
+    (m,), (residual,) = _fibre_actions(code, path._end, tol)
     return _classified(m, float(residual), tol)
 
 
@@ -438,16 +477,21 @@ def flatness_probe_transversal(
     per_chunk = max(1, _chunk(code) // 3)  # three paths a trial
     worst = 0.0
     for start in range(0, trials, per_chunk):
-        paths = []
+        words, pieces, coeffs = [], [], []
         for _ in range(min(per_chunk, trials - start)):
             p = PauliString.identity(code.n)
             for _ in range(int(rng.integers(1, 4))):
                 p = p * loop_endpoints[int(rng.integers(0, len(loop_endpoints)))]
-            path1 = pauli_generator_path(p)
-            pieces = [int(rng.integers(2, 5)) for _ in path1.segments]
-            pre = exponential_path(code.qudit_dims, basis.random_element(rng))
-            paths += [path1, path1.subdivide(pieces), pre.compose(path1)]
-        m, _ = _fibre_actions(code, paths, 1e-9)  # transversal_holonomy's default tol
+            words.append(p)
+            pieces.append(int(rng.integers(2, 5)))  # the generator path has one segment
+            coeffs.append(basis.coefficients.T @ rng.normal(size=basis.dimension))
+        paths = []
+        for p, k, pre in zip(words, pieces, basis._site_generators(np.array(coeffs))):
+            gens = _pauli_generators(p)
+            # the generator path, its subdivision, and it pre-composed with exp(pre)
+            paths += [[gens], [_pauli_generators(p, k)] * k, [pre, gens]]
+        table = _step_table(code.qudit_dims, paths)
+        m, _ = _fibre_actions(code, table, 1e-9)  # transversal_holonomy's default tol
         m1 = np.concatenate([m[0::3], m[0::3]])
         dev = _phase_adjusted_deviation(m1, np.concatenate([m[1::3], m[2::3]]))
         worst = max(worst, float(dev.max()))

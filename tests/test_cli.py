@@ -135,6 +135,10 @@ def test_correctable_weight1(tmp_path):
         ["distance", "--code", "toric:L=3,S=1", "--max-weight", "1"],
         ["correctable", "--code", "fivequbit", "--errors", "squdit:s=1,s=2"],
         ["distance", "--code", "toric:L=2,s=0,L=3", "--max-weight", "1"],
+        ["distance", "--code", "fivequbit", "--max-weight", "2", "--tol", "-1"],
+        ["transversal", "flatness", "--tol", "nan"],
+        ["toric", "face-checks", "--tol", "inf"],
+        ["correctable", "--code", "fivequbit", "--errors", "squdit:s=2", "{inf-tol}"],
     ],
     ids=[
         "toric-build-without-config",
@@ -167,6 +171,10 @@ def test_correctable_weight1(tmp_path):
         "toric-spec-unknown-key",
         "squdit-spec-repeated-key",
         "toric-spec-repeated-key",
+        "tol-negative",
+        "tol-nan",
+        "tol-infinite",
+        "env-tol-infinite",
     ],
 )
 def test_library_errors_exit_2_with_one_line(argv, tmp_path, capsys, monkeypatch):
@@ -207,17 +215,21 @@ def test_library_errors_exit_2_with_one_line(argv, tmp_path, capsys, monkeypatch
         "toric:L=3,S=1": "error: 'toric:L=3,S=1': unknown key 'S' (keys: L, s)\n",
         "squdit:s=1,s=2": "error: 'squdit:s=1,s=2': key 's' given twice\n",
         "toric:L=2,s=0,L=3": "error: 'toric:L=2,s=0,L=3': key 'L' given twice\n",
+        "-1": "error: --tol must be finite and positive, got -1.0\n",
+        "nan": "error: --tol must be finite and positive, got nan\n",
+        "inf": "error: --tol must be finite and positive, got inf\n",
     }
     named = next((messages[a] for a in argv if a in messages), None)
     # a malformed variable's message names it and its value
-    for mark, var, raw in (
-        ("{bad-env}", "HOLOQEC_SEED", "seven"),
-        ("{bad-tol}", "HOLOQEC_TOL", "abc"),
+    for mark, var, raw, rest in (
+        ("{bad-env}", "HOLOQEC_SEED", "seven", ""),
+        ("{bad-tol}", "HOLOQEC_TOL", "abc", ""),
+        ("{inf-tol}", "HOLOQEC_TOL", "inf", "must be finite and positive, got inf\n"),
     ):
         if mark in argv:
             argv = [a for a in argv if a != mark]
             monkeypatch.setenv(var, raw)
-            named = f"error: {var}='{raw}': "
+            named = f"error: {var}='{raw}': {rest}"
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     assert main(argv) == 2
     err = capsys.readouterr().err

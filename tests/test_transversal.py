@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -29,6 +30,7 @@ from holoqec.transversal import (
     _antiherm_site_basis,
     _expm_antihermitian,
     _fibre_actions,
+    _step_table,
 )
 
 
@@ -200,6 +202,19 @@ def test_path_checks_every_distinct_segment(rng):
         for segs in ((good, seg), (good, good, seg), (seg,) * 3, (seg, good, seg)):
             with pytest.raises(ValueError, match=match):
                 TransversalPath(dims, segs)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan), complex(0, -np.inf)])
+def test_non_finite_factors_and_generators_are_refused(bad):
+    """NaN and inf fail the unitarity and anti-Hermiticity checks (a NaN compares false)."""
+    u = np.eye(2, dtype=complex)
+    u[0, 1] = bad
+    with pytest.raises(ValueError, match="unitary"):
+        TransversalUnitary((u, np.eye(2)))
+    for h in (np.diag([bad, 0.0]), np.array([[0.0, bad], [0.0, 0.0]])):
+        with pytest.raises(ValueError, match="anti-Hermitian"):
+            exponential_path((2,), [1j * np.eye(2) + h])
 
 
 def test_trivial_action_probe(code5, rng):
@@ -459,6 +474,25 @@ def test_trivial_action_equals_the_path_by_path_loop(
         assert rep.max_residual == ref
 
 
+# sha256 of the float.hex of both probes' reports over seeds 0-39: any change
+# of a draw, a step or the order of a product changes it
+PROBE_REPORTS_SHA256 = "9ab803ce20b4ed5fd591b3455f712090425883fb8225441dac9aabda2c8a5b09"
+
+
+def test_probe_reports_match_the_pinned_digest(code5):
+    basis = fl_lie_algebra(code5)
+    h = hashlib.sha256()
+    for seed in range(40):
+        rep = flatness_probe_transversal(
+            code5, loop_endpoints(), 10, rng=np.random.default_rng(seed)
+        )
+        h.update(rep.max_phase_adjusted_deviation.hex().encode())
+    for seed in range(40):
+        rep = check_projectively_trivial_action(code5, basis, 20, rng=np.random.default_rng(seed))
+        h.update(rep.max_residual.hex().encode())
+    assert h.hexdigest() == PROBE_REPORTS_SHA256
+
+
 @pytest.mark.parametrize("gate", ["X", "Z", "R3", *(f"stabilizer-{k}" for k in range(1, 5))])
 def test_holonomy_equals_classify_of_the_end_frame(code5, gate):
     """The stack of one gives what classify gives on the lifted end frame, bit for bit."""
@@ -480,13 +514,33 @@ def test_flatness_probe_rejects_a_non_logical_endpoint(code5):
             flatness_probe_transversal(code5, endpoints, 20, rng=np.random.default_rng(1))
 
 
+def test_flatness_exponentiates_each_distinct_step_once(code5, monkeypatch):
+    """A subdivided segment repeats one step and paths share their Pauli steps:
+    every matrix the probe sends through eigh differs from every other."""
+    sent = []
+
+    def record(h):
+        sent.append(h.copy())
+        return _expm_antihermitian(h)
+
+    monkeypatch.setattr(transversal, "_expm_antihermitian", record)
+    flatness_probe_transversal(code5, loop_endpoints(), 10, rng=np.random.default_rng(0))
+    steps = np.concatenate(sent).reshape(-1, 4)
+    assert len(steps) > 10 and len(np.unique(steps, axis=0)) == len(steps)
+
+
+def _steps(paths):
+    """The step table of several paths, as a probe fills it for its chunk."""
+    return _step_table(paths[0].dims, [[seg.generators for seg in p.segments] for p in paths])
+
+
 def test_one_failing_path_fails_the_stack(code5):
     good = [pauli_generator_path(p) for p in loop_endpoints()]
     bad = pauli_generator_path(PauliString.from_label("XIIII"))
-    m, residual = _fibre_actions(code5, good, 1e-9)
+    m, residual = _fibre_actions(code5, _steps(good), 1e-9)
     assert m.shape == (6, 2, 2) and np.all(residual < 1e-9)
     with pytest.raises(NotALoopError):
-        _fibre_actions(code5, good[:3] + [bad] + good[3:], 1e-9)
+        _fibre_actions(code5, _steps(good[:3] + [bad] + good[3:]), 1e-9)
 
 
 def test_probes_refuse_negative_counts(code5):
