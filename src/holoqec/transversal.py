@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -108,7 +107,7 @@ def _step_table(
         raise ValueError("t must lie in [0, 1]")
     rows: dict[tuple[int, float], int] = {}
     gens: dict[int, tuple[list, list]] = {d: ([], []) for d in dims}  # generators, fractions
-    steps = []
+    steps: list[int] = []  # flat (rank, path, site, row): a tuple kept per step fragments the heap
     for i, segments in enumerate(paths):
         pos, rank = t * len(segments), [0] * len(dims)
         for k, seg in enumerate(segments):
@@ -123,14 +122,14 @@ def _step_table(
                         row = rows[key] = len(gens[d][0])
                         gens[d][0].append(h)
                         gens[d][1].append(frac)
-                    steps.append((rank[j], i, j, row))
+                    steps.extend((rank[j], i, j, row))
                     rank[j] += 1
     table = {}
     for d, (hs, fs) in gens.items():
         g = table[d] = np.array(fs)[:, None, None] * np.array(hs).reshape(-1, d, d)
         if len(g) and not np.max(np.abs(g + g.conj().transpose(0, 2, 1))) <= 1e-10:
             raise ValueError("generators must be anti-Hermitian")  # a NaN fails too
-    return dims, len(paths), table, np.fromiter(chain.from_iterable(steps), int).reshape(-1, 4).T
+    return dims, len(paths), table, np.array(steps, dtype=int).reshape(-1, 4).T
 
 
 def _endpoint_factors(
