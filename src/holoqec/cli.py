@@ -36,7 +36,7 @@ from . import (
     transversal_holonomy,
 )
 from .errors import EnumerationCapError, GeoLattice, geolocal_errors
-from .fivequbit import R3, STABILIZER_LABELS
+from .fivequbit import R3, STABILIZER_LABELS, flatness_endpoints
 from . import toric as tt
 
 SCHEMA_VERSION = 1
@@ -269,8 +269,9 @@ def cmd_transversal(args) -> int:
         ok = res.residual < args.tol
         _summary(f"holonomy {args.gate}: {res.classification}, residual {res.residual:.2e}")
     elif args.subcommand == "flatness":
-        endpoints = [PauliString.from_label(s) for s in (*STABILIZER_LABELS, "XXXXX", "ZZZZZ")]
-        rep = flatness_probe_transversal(code, endpoints, args.trials, tol=args.tol, rng=rng)
+        rep = flatness_probe_transversal(
+            code, flatness_endpoints(), args.trials, tol=args.tol, rng=rng
+        )
         ok = rep.ok
         results = {
             "trials": rep.trials,

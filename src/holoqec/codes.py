@@ -12,8 +12,10 @@ support rows.  A block is exactly zero, and never gathered, when the Pauli
 anticommutes with one of the code's stabilizer generators or its X part
 maps no support row onto the support; the correction condition takes each
 error as its exact Pauli expansion and evaluates each distinct product of
-two terms once.  The kernel holds a bounded working set per chunk of Paulis
-(``_CHUNK_BYTES``), and the correction condition keeps one f value per pair
+two terms once per run.  The kernel bounds its own working set
+(``_CHUNK_BYTES``) for any number of Paulis; both scans hand it runs that
+start at 512 items and grow with the scan to about ``_CHUNK_BYTES`` of
+K x K blocks, and the correction condition keeps one f value per pair
 passed.  Both run on one thread; ``distance(threads=)`` is accepted and unused.
 """
 
@@ -144,16 +146,25 @@ class NotLogicalError(ValueError):
         self.residual = residual
 
 
-# Working-set bound of the block kernel on an R-row, K-column frame: one step
-# signs _CHUNK_BYTES // (16 R K) copies of the K x R block F^dagger, one per
-# Pauli, across as many x as those Paulis hold; a scan hands the kernel
-# _CHUNK_BYTES // (16 R) Paulis at a time, whose row lookup (24 bytes per
-# distinct x and row) holds at most 1.5 times that bound.  The generator test
-# adds 16 bytes per Pauli and generator: g < R / 4 for every code built here.
+# Working-set bound of the block kernel on an R-row, K-column frame: its row
+# lookup holds 24 bytes per row for at most _CHUNK_BYTES // (24 R) distinct x
+# at a time, and one step signs _CHUNK_BYTES // (16 R K) copies of the K x R
+# block F^dagger, one per Pauli.  The generator test adds 16 bytes per Pauli
+# and generator: g < R / 4 for every code built here.  A scan's run holds
+# about _CHUNK_BYTES of K x K blocks, 16 K^2 bytes per Pauli or term pair.
 _CHUNK_BYTES = 8 * 2**20
+# A scan's first run holds _FIRST_RUN Paulis or term pairs, and each later
+# one as many as were scanned before it, up to the run budget: a witness met
+# early costs little, and a long scan makes few calls.
+_FIRST_RUN = 512
 # i^k for k = 0..3, and (-1)^k for k = 0, 1
 _UNITS = np.array([1, 1j, -1, -1j])
 _SIGNS = np.array([1.0, -1.0])
+
+
+def _run_size(done: int, k: int) -> int:
+    """The items of a scan's next run, ``done`` items in, on a K = k frame."""
+    return min(max(1, _CHUNK_BYTES // (16 * k * k)), max(_FIRST_RUN, done))
 
 
 class _PauliBlocks:
@@ -174,13 +185,15 @@ class _PauliBlocks:
     support, every block with that x is exactly zero and nothing is
     gathered; for a toric frame that is most x.
 
-    The other Paulis are taken in order of x, ``chunk`` per ``_step``.  A
-    step folds each Pauli's sign (-1)^{|m&z|} (-1)^{|x&z|} into its own copy
-    of F^dagger, which is exact, and multiplies each run of equal x by that
-    x's rows, gathered once: a narrow frame spans many x in one step, a wide
-    one gathers once per x.  Callers pass ``width`` Paulis per call.  x and
-    z are held as int64, so n > 62 is refused; the correction condition's
-    product keys cap n at 32.
+    The other Paulis are taken in order of x: their distinct x are looked
+    up a group at a time (``_CHUNK_BYTES`` of lookup), and each group's live
+    Paulis ``chunk`` per ``_step``.  A step folds each Pauli's sign
+    (-1)^{|m&z|} (-1)^{|x&z|} into its own copy of F^dagger, which is exact,
+    and multiplies each run of equal x by that x's rows, gathered once: a
+    narrow frame spans many x in one step, a wide one gathers once per x.
+    ``blocks`` takes any number of Paulis and bounds its own working set.
+    x and z are held as int64, so n > 62 is refused; the correction
+    condition's product keys cap n at 32.
     """
 
     def __init__(self, frame: Frame, stabilizers: Sequence[PauliString] = ()):
@@ -199,28 +212,30 @@ class _PauliBlocks:
         self.padded = np.vstack([frame.vals, np.zeros((1, frame.K), dtype=complex)])
         self.left = np.ascontiguousarray(frame.vals.conj().T)
 
-    @property
-    def width(self) -> int:
-        return max(1, _CHUNK_BYTES // (16 * self.rows.size))
-
     def blocks(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
         """The (c, K, K) blocks of X^x[i] Z^z[i] for int64 arrays x, z of length c."""
         k, r = self.left.shape
         chunk = max(1, _CHUNK_BYTES // (16 * r * k))
+        group = max(1, _CHUNK_BYTES // (24 * r))
         out = np.zeros((x.size, k, k), dtype=complex)
         odd = x[:, None] & self.gz  # the symplectic product with each generator
         odd ^= z[:, None] & self.gx
         keep = np.flatnonzero(~(np.bitwise_count(odd) & 1).any(axis=1))
+        del odd  # 8 bytes per Pauli and generator, not needed past the test
         xs, inverse = np.unique(x[keep], return_inverse=True)
-        want = self.rows ^ xs[:, None]
-        at = np.searchsorted(self.rows, want)
-        at[self.rows.take(at, mode="clip") != want] = r  # off the support: the zero row
-        todo = np.flatnonzero((at < r).any(axis=1)[inverse])
-        todo = todo[np.argsort(inverse[todo], kind="stable")]
-        for lo in range(0, todo.size, chunk):
-            part = todo[lo : lo + chunk]
-            i = keep[part]
-            out[i] = self._step(x[i], z[i], at, inverse[part])
+        by_x = np.argsort(inverse, kind="stable")
+        keep, inverse = keep[by_x], inverse[by_x]
+        ends = np.searchsorted(inverse, np.arange(0, xs.size + group, group))
+        for g, (lo, hi) in enumerate(zip(ends[:-1], ends[1:])):
+            want = self.rows ^ xs[g * group : (g + 1) * group, None]
+            at = np.searchsorted(self.rows, want)
+            at[self.rows.take(at, mode="clip") != want] = r  # off the support: the zero row
+            u = inverse[lo:hi] - g * group
+            todo = np.flatnonzero((at < r).any(axis=1)[u])
+            for j in range(0, todo.size, chunk):
+                part = todo[j : j + chunk]
+                i = keep[lo + part]
+                out[i] = self._step(x[i], z[i], at, u[part])
         return out
 
     def _step(self, x: np.ndarray, z: np.ndarray, at: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -243,42 +258,6 @@ def _scalar_part(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     f = entries[:: k + 1].sum(axis=0) / k
     entries[:: k + 1] -= f
     return f, np.abs(entries).max(axis=0)
-
-
-class _Products:
-    """The K x K block of each distinct phase-free product X^x Z^z evaluated so far.
-
-    Keyed by x << n | z as uint64, so 2n <= 64, and kept sorted, 8 + 16 K^2
-    bytes per product; new keys go through the kernel once.
-    """
-
-    def __init__(self, kernel: _PauliBlocks):
-        if 2 * kernel.n > 64:
-            raise ValueError(f"product keys are uint64; n = {kernel.n} qubits is too many")
-        self.kernel = kernel
-        self.keys = np.empty(0, dtype=np.uint64)
-        k = kernel.left.shape[0]
-        self.blocks = np.empty((0, k, k), dtype=complex)
-
-    @property
-    def nbytes(self) -> int:
-        return self.keys.nbytes + self.blocks.nbytes
-
-    def __call__(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-        n = self.kernel.n
-        keys = x.astype(np.uint64) << n | z.astype(np.uint64)
-        at = np.searchsorted(self.keys, keys)
-        seen = at < self.keys.size
-        seen[seen] = self.keys[at[seen]] == keys[seen]
-        if not seen.all():
-            new = np.unique(keys[~seen])
-            hi, lo = new >> n, new & ((1 << n) - 1)
-            blocks = self.kernel.blocks(hi.astype(np.int64), lo.astype(np.int64))
-            order = np.argsort(np.concatenate([self.keys, new]))
-            self.keys = np.concatenate([self.keys, new])[order]
-            self.blocks = np.concatenate([self.blocks, blocks])[order]
-            at = np.searchsorted(self.keys, keys)
-        return self.blocks.take(at, axis=0)
 
 
 def _pauli_terms(errors) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -306,64 +285,70 @@ def correction_condition(code: Code, errors, tol: float = 1e-9) -> CorrectionRep
     Every error enters as its exact Pauli expansion E_a = sum_s c_s X^x_s Z^z_s
     (one term for a PauliString, up to 4^w for a LocalOperator on w sites),
     so B^{ab} sums conj(c_s) c_t (-1)^{|x_s & z_s| + |z_s & x_t|} times the
-    block of X^{x_s ^ x_t} Z^{z_s ^ z_t} over the terms of a and b.  The
-    kernel evaluates each distinct product block once.  With one term per
-    error the coefficients are exact units, so a Pauli set's f and
+    block of X^{x_s ^ x_t} Z^{z_s ^ z_t} over the terms of a and b.  Each
+    run keys its products as x << n | z in uint64, so n <= 32, and the
+    kernel evaluates each distinct product of the run once.  With one term
+    per error the coefficients are exact units, so a Pauli set's f and
     deviations are those of its products.
 
-    Pairs are scanned in runs of consecutive a * m + b holding at most the
-    kernel's width in term pairs: first rows 0 and 1 (row 0 of an ErrorSet
-    pairs the identity with each error), then as many whole rows as are
-    done, or a row too wide for that in chunks of columns.
+    Pairs are scanned in runs of consecutive a * m + b holding at most
+    ``_run_size`` term pairs: 512 first, then as many as were scanned,
+    up to about ``_CHUNK_BYTES`` of K x K blocks.  A run is as many whole
+    rows as fit, or a row too wide for that in chunks of columns.
 
-    Memory grows with the scan: 16 bytes per pair passed and 8 + 16 K^2
-    bytes per distinct product.  Once those would pass the dense bound,
-    DenseSizeError is raised; a set that fails earlier still returns its
-    witness.  The m x m ``f_matrix`` is stacked only when every pair has
-    passed.
+    Memory grows with the scan by 16 bytes per pair passed.  Once that
+    would pass the dense bound, DenseSizeError is raised; a set that fails
+    earlier still returns its witness.  The m x m ``f_matrix`` is stacked
+    only when every pair has passed.
     """
     ends, x, z, c = _pauli_terms(errors)
     m = ends.size - 1
     # (c_s X^x_s Z^z_s)^dagger = conj(c_s) (-1)^{|x_s & z_s|} X^x_s Z^z_s
     left = c.conj() * _SIGNS[np.bitwise_count(x & z) & 1]
-    products = _Products(code._blocks)
-    width, k = products.kernel.width, code.K
+    kernel, k, n = code._blocks, code.K, code._blocks.n
+    if 2 * n > 64:
+        raise ValueError(f"product keys are uint64; n = {n} qubits is too many")
 
     f_runs = [np.empty(0, dtype=complex)]
-    a = b = 0
+    a = b = done = 0
     while a < m:
-        rows = int(np.searchsorted(ends, ends[a] + width // ends[-1], side="right")) - 1 - a
-        if b == 0 and rows > 0:  # whole rows: as many as scanned so far, at least two
-            a1, b1 = a + min(max(a, 2), rows), m
+        size = _run_size(done, k)
+        rows = int(np.searchsorted(ends, ends[a] + size // ends[-1], side="right")) - 1 - a
+        if b == 0 and rows > 0:  # as many whole rows as fit
+            a1, b1 = a + rows, m
         else:  # one row, in chunks of columns
             a1 = a + 1
-            cut = ends[b] + width // (ends[a + 1] - ends[a])
+            cut = ends[b] + size // (ends[a + 1] - ends[a])
             b1 = min(m, max(b + 1, int(np.searchsorted(ends, cut, side="right")) - 1))
         s, t = slice(ends[a], ends[a1]), slice(ends[b], ends[b1])  # the terms of a and of b
         coef = left[s, None] * c[t] * _SIGNS[np.bitwise_count(z[s, None] & x[t]) & 1]
-        blocks = coef[..., None, None] * products(x[s, None] ^ x[t], z[s, None] ^ z[t])
+        done += coef.size
+        keys = (x[s, None] ^ x[t]).astype(np.uint64) << n | (z[s, None] ^ z[t]).astype(np.uint64)
+        keys, inverse = np.unique(keys, return_inverse=True)
+        hi, lo = (keys >> n).astype(np.int64), (keys & ((1 << n) - 1)).astype(np.int64)
+        blocks = kernel.blocks(hi, lo).take(inverse.reshape(coef.shape), axis=0)
+        np.multiply(coef[..., None, None], blocks, out=blocks)
         if blocks.shape[:2] != (a1 - a, b1 - b):  # else every error of the run is one term
             # sum each pair's term blocks: over the terms of b, then over those of a
             blocks = np.add.reduceat(blocks, ends[b:b1] - ends[b], axis=1)
             blocks = np.add.reduceat(blocks, ends[a:a1] - ends[a], axis=0)
         f, dev = _scalar_part(blocks.reshape(-1, k, k))
+        del blocks  # else it stays alive through the next run's kernel call
         bad = np.flatnonzero(dev >= tol)
         if bad.size:
             i, j = divmod(int(bad[0]), b1 - b)
             return CorrectionReport(False, None, (a + i, b + j), float(dev[bad[0]]))
         f_runs.append(f)
         a, b = (a1, 0) if b1 == m else (a, b1)
-        check_dense_size(
-            16 * (a * m + b) + products.nbytes,
-            f"f values of the first {a * m + b} pairs of {m} errors, with the distinct products",
-        )
+        check_dense_size(16 * (a * m + b), f"f values of the first {a * m + b} pairs of {m} errors")
     return CorrectionReport(True, np.concatenate(f_runs).reshape(m, m), None, 0.0)
 
 
-def _weight_class(n: int, w: int, chunk: int):
-    """(x, z) arrays of every weight-w Pauli in squdit_errors order, about ``chunk`` at a time."""
-    combos = itertools.combinations(range(n), w)
-    while batch := list(itertools.islice(combos, max(1, chunk // 3**w))):
+def _weight_class(n: int, w: int, k: int):
+    """(x, z) arrays of every weight-w Pauli in squdit_errors order, in runs of ``_run_size``."""
+    combos, done = itertools.combinations(range(n), w), 0
+    while batch := list(itertools.islice(combos, max(1, _run_size(done, k) // 3**w))):
+        done += len(batch) * 3**w
         yield pauli_bits(np.array(batch, dtype=np.int64))
 
 
@@ -375,9 +360,9 @@ def distance(
     Tests every Pauli of weight 1..max_weight against the constant-block
     condition and returns the least violating weight, or reports the search
     exhausted.  Each weight class goes through the batched block kernel in
-    enumeration-order chunks, and the witness is the first violation in
-    that order.  The phase of a Pauli does not change its deviation, so the
-    kernel evaluates X^x Z^z.  ``threads`` is accepted and unused: the scan
+    enumeration-order runs of ``_run_size``, and the witness is the first
+    violation in that order.  The phase of a Pauli does not change its
+    deviation, so the kernel evaluates X^x Z^z.  ``threads`` is accepted and unused: the scan
     runs on one thread, which was faster than a thread pool on two cores.
     """
     if not code.is_qubit_code:
@@ -386,7 +371,7 @@ def distance(
         raise ValueError(f"max_weight must be in 1..{code.n}")
     kernel = code._blocks
     for w in range(1, max_weight + 1):
-        for x, z in _weight_class(code.n, w, kernel.width):
+        for x, z in _weight_class(code.n, w, code.K):
             hit = np.flatnonzero(_scalar_part(kernel.blocks(x, z))[1] >= tol)
             if hit.size:
                 xw, zw = int(x[hit[0]]), int(z[hit[0]])

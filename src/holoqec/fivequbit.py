@@ -21,6 +21,7 @@ __all__ = [
     "logical_x",
     "logical_z",
     "five_qubit_code",
+    "flatness_endpoints",
     "R3",
 ]
 
@@ -53,3 +54,9 @@ def five_qubit_code() -> Code:
     every caller shares it, and with it the code's Pauli block kernel.
     """
     return stabilizer_code(stabilizer_generators(), (0, 31))
+
+
+@cache
+def flatness_endpoints() -> tuple[PauliString, ...]:
+    """The flatness probe's loop endpoints, built once: the four generators, X^5 and Z^5."""
+    return (*stabilizer_generators(), logical_x(), logical_z())

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .lattice import DefectConfig, TorusLattice
+from .lattice import DefectConfig, TorusLattice, wrapped_step
 from .strings import HOP, Step, StringEvolution, _classify_step
 
 __all__ = [
@@ -62,18 +62,12 @@ class RoutingError(RuntimeError):
     pass
 
 
-def _signed_delta(L: int, a: int, b: int) -> tuple[int, int]:
-    """(step sign, step count) for the minimal wrapped move a -> b."""
-    d = (b - a) % L
-    return (1, d) if 2 * d <= L else (-1, L - d)
-
-
 def _staircase(L: int, a, b, x_first: bool = True) -> list:
     """Vertex sequence a -> b, x moves then y moves (or swapped)."""
     path = [a]
     x, y = a
-    sx, nx = _signed_delta(L, a[0], b[0])
-    sy, ny = _signed_delta(L, a[1], b[1])
+    sx, nx = wrapped_step(L, a[0], b[0])
+    sy, ny = wrapped_step(L, a[1], b[1])
     legs = [("x", sx, nx), ("y", sy, ny)]
     if not x_first:
         legs.reverse()

@@ -18,6 +18,7 @@ from .lattice import (
     Edge,
     TorusLattice,
     hardcore_check,
+    wrapped_step,
 )
 
 __all__ = ["ToricCode", "build_code", "ParityError", "ConfigError"]
@@ -81,14 +82,12 @@ def _dual_pairing_string(lat: TorusLattice, cfg: DefectConfig) -> int:
     L = lat.L
     for k in range(0, len(cfg.dual), 2):
         (x, y), (tx, ty) = cfg.dual[k], cfg.dual[k + 1]
-        dx = (tx - x) % L
-        sx, nx = (1, dx) if dx <= L - dx else (-1, L - dx)
+        sx, nx = wrapped_step(L, x, tx)
         for _ in range(nx):
             step = Edge(x, y, "h") if sx > 0 else Edge(lat.wrap(x - 1), y, "h")
             bits ^= 1 << lat.edge_index(lat.dual_crossing_qubit(step))
             x = lat.wrap(x + sx)
-        dy = (ty - y) % L
-        sy, ny = (1, dy) if dy <= L - dy else (-1, L - dy)
+        sy, ny = wrapped_step(L, y, ty)
         for _ in range(ny):
             step = Edge(x, y, "v") if sy > 0 else Edge(x, lat.wrap(y - 1), "v")
             bits ^= 1 << lat.edge_index(lat.dual_crossing_qubit(step))

@@ -157,6 +157,12 @@ class TorusLattice:
         return min(self.vertex_distance(v, c) for c in self.face_corners(f))
 
 
+def wrapped_step(L: int, a: int, b: int) -> tuple[int, int]:
+    """(step sign, step count) of the shortest move a -> b on a cycle of L; a tie steps +."""
+    d = (b - a) % L
+    return (1, d) if 2 * d <= L else (-1, L - d)
+
+
 # -- defect positions ----------------------------------------------------------
 
 

@@ -28,7 +28,13 @@ from .braid import (
     compile_braid,
 )
 from .build import ToricCode
-from .interp import combine_corner_frames, corner_frames, face_corner_coords, slide_frame
+from .interp import (
+    _face_corners,
+    combine_corner_frames,
+    corner_frames,
+    face_corner_coords,
+    slide_frame,
+)
 from .lattice import (
     DefectConfig,
     Edge,
@@ -77,6 +83,8 @@ class FaceMove:
 
 
 Segment = Union[DiscreteHop, EdgeSlide, FaceMove]
+# face coordinates (x, y) of a corner -> its label
+_CORNER_AT = {xy: label for label, xy in face_corner_coords().items()}
 
 
 @dataclass(frozen=True)
@@ -177,9 +185,7 @@ class _State:
         )
 
     def _enter_face(self, seg: FaceMove) -> None:
-        corner_xy = {v: k for k, v in face_corner_coords().items()}
-        lbl = corner_xy.get(seg.xy_from)
-        if lbl is None:
+        if seg.xy_from not in _CORNER_AT:
             raise TransportError("face entry must start at a corner")
         cfg = self.discrete_cfg()
         tc_here = self.tc.with_frame(self.frame, cfg)
@@ -193,12 +199,9 @@ class _State:
         kind, face, frames, idx = self.face_ctx
         x, y = seg.xy_to
         self.frame = combine_corner_frames(frames, x, y)
-        corner_xy = {v: k for k, v in face_corner_coords().items()}
-        from .interp import _face_corners  # corner label -> lattice site
-
-        corners = _face_corners(self.lat, kind, face)
-        if seg.xy_to in corner_xy:
-            pos = VertexPos(corners[corner_xy[seg.xy_to]])
+        corners = _face_corners(self.lat, kind, face)  # corner label -> lattice site
+        if seg.xy_to in _CORNER_AT:
+            pos = VertexPos(corners[_CORNER_AT[seg.xy_to]])
             self.face_ctx = None
         elif x == 0.0 or x == 1.0 or y == 0.0 or y == 1.0:
             # exit onto a boundary edge; t runs along the uniform orientation

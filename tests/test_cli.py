@@ -200,7 +200,7 @@ def test_library_errors_exit_2_with_one_line(argv, tmp_path, capsys, monkeypatch
         monkeypatch.setattr("holoqec.cli.fl_lie_algebra", _out_of_memory)
     if "{small-limit}" in argv:  # the stored f rows pass a lowered dense bound
         argv = [a for a in argv if a != "{small-limit}"]
-        monkeypatch.setattr("holoqec.frames.DENSE_BYTES_LIMIT", 6000)
+        monkeypatch.setattr("holoqec.frames.DENSE_BYTES_LIMIT", 4000)
     messages = {  # these messages name what is wrong
         "toric:L": "error: 'toric:L': after the colon, give comma-separated k=v pairs\n",
         "{tmp}/no-dims.json": "error: code JSON lacks 'qudit_dims'\n",

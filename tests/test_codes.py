@@ -3,7 +3,6 @@ import re
 import time
 import tracemalloc
 from functools import cache, reduce
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,7 +24,7 @@ from holoqec import (
     stabilizer_code,
 )
 from holoqec import toric as tt
-from holoqec.codes import _UNITS, _PauliBlocks, _Products, _weight_class
+from holoqec.codes import _UNITS, _PauliBlocks, _scalar_part, _weight_class
 from holoqec.errors import GeoLattice, conjugated_error_set, geolocal_errors
 from holoqec.fivequbit import logical_x, logical_z, stabilizer_generators
 from holoqec.frames import DenseSizeError, orthonormalize
@@ -112,13 +111,14 @@ def test_distance_thread_invariance(code5):
     assert r1.witness == r4.witness
 
 
-@pytest.mark.parametrize("chunk", [1, 10, 1000])
-def test_weight_classes_follow_the_squdit_order(chunk):
+@pytest.mark.parametrize("budget", [1, 10, 1000])
+def test_weight_classes_follow_the_squdit_order(budget, monkeypatch):
     """The distance scan meets Paulis in squdit_errors order, so its witness is the first."""
+    monkeypatch.setattr("holoqec.codes._CHUNK_BYTES", 16 * budget)  # runs of K = 1 blocks
     got = [
         (int(x), int(z))
         for w in range(1, 4)
-        for xs, zs in _weight_class(5, w, chunk)
+        for xs, zs in _weight_class(5, w, 1)
         for x, z in zip(xs, zs)
     ]
     assert got == [(p.x_bits, p.z_bits) for p in squdit_errors(5, 3)][1:]
@@ -356,15 +356,14 @@ _SCATTERED = {
 }
 
 
-@pytest.mark.parametrize(
-    "fixture", ["code5", "toric2", "toric3", "toric3_two_dual", *_SCATTERED]
-)
-def test_block_kernel_equals_per_pauli_reference(fixture, request, rng):
+def _kernel_code(fixture, request, rng):
     if fixture in _SCATTERED:
-        code = _scattered_code(rng, *_SCATTERED[fixture])
-    else:
-        code = request.getfixturevalue(fixture)
-        code = getattr(code, "code", code)
+        return _scattered_code(rng, *_SCATTERED[fixture])
+    code = request.getfixturevalue(fixture)
+    return getattr(code, "code", code)
+
+
+def _kernel_against_reference(code, rng):
     kernel = _PauliBlocks(code.frame)
     x, z, k = _random_products(code.frame, code.n, 300, rng)
     got = _UNITS[k][:, None, None] * kernel.blocks(x, z)
@@ -375,6 +374,22 @@ def test_block_kernel_equals_per_pauli_reference(fixture, request, rng):
         assert np.array_equal(got[i], ref)
         nonzero += bool(np.any(ref))
     assert nonzero > 0
+    return np.unique(x).size
+
+
+@pytest.mark.parametrize(
+    "fixture", ["code5", "toric2", "toric3", "toric3_two_dual", *_SCATTERED]
+)
+def test_block_kernel_equals_per_pauli_reference(fixture, request, rng):
+    _kernel_against_reference(_kernel_code(fixture, request, rng), rng)
+
+
+@pytest.mark.parametrize("fixture", ["code5", "toric3_two_dual", "scattered-wide"])
+def test_block_kernel_looks_rows_up_in_groups(fixture, request, rng, monkeypatch):
+    """With 72 bytes a row, the row lookup takes 3 distinct x at a time, over many groups."""
+    code = _kernel_code(fixture, request, rng)
+    monkeypatch.setattr("holoqec.codes._CHUNK_BYTES", 24 * code.frame.rows.size * 3)
+    assert _kernel_against_reference(code, rng) > 5 * 3
 
 
 @pytest.mark.parametrize("fixture", ["code5", "toric3"])
@@ -438,8 +453,13 @@ def test_block_kernel_refuses_masks_past_int64():
     wide = Frame._unchecked(1 << 63, np.array([0]), np.ones((1, 1), dtype=complex))
     with pytest.raises(ValueError, match="int64"):
         _PauliBlocks(wide)
-    with pytest.raises(ValueError, match="int64"):
-        _Products(SimpleNamespace(n=33))  # a key x << n | z would need 66 bits
+
+
+def test_correction_condition_refuses_product_keys_past_uint64():
+    """A product key x << n | z needs 2n bits: 66 at n = 33, refused before any run."""
+    one = Frame._unchecked(1 << 33, np.array([0]), np.ones((1, 1), dtype=complex))
+    with pytest.raises(ValueError, match="uint64; n = 33"):
+        correction_condition(Code(one, (2,) * 33), [PauliString(33, 1, 0)])
 
 
 _STABILIZER_FIXTURES = [
@@ -566,7 +586,7 @@ def test_correction_condition_equals_per_pair_reference(case, code5, toric3, rng
     }[case]
     if case == "mid_chunk":
         # runs of at most 16 columns: the witness (1, 55) is the eighth pair of row 1's fourth run
-        monkeypatch.setattr("holoqec.codes._CHUNK_BYTES", 16 * 32 * 16)
+        monkeypatch.setattr("holoqec.codes._CHUNK_BYTES", 16 * 2**2 * 16)  # K = 2
     rep = correction_condition(code, errors, tol=1e-9)
     witness, dev, f = correction_reference(code, errors, tol=1e-9)
     assert rep.witness == witness
@@ -617,26 +637,51 @@ def test_geolocal_3_1_generation_and_scan_build_no_pauli_string(toric3, monkeypa
 
 @pytest.mark.parametrize("width", [16, 24, 64, 4096])
 def test_runs_hold_at_most_the_kernel_width(width, code5, rng, monkeypatch):
-    """Each run hands the product cache at most ``width`` term pairs, every pair once.
+    """Each run makes one kernel call, and every pair is scored once.
 
-    The mixed set has 1 to 4 terms per error, so runs of whole rows, row
-    chunks and single pairs all occur; the answer does not depend on them.
+    A run holds at most min(width, max(512, term pairs already scanned))
+    term pairs, and one more row, or column of its row, would not fit.  The
+    mixed set has 1 to 4 terms per error, so runs of whole rows, row chunks
+    and single pairs all occur; the answer does not depend on them.  A
+    run's term pairs are counted from the pairs it scores, in row-major
+    order, and the kernel sees at most that many distinct products.
     """
     errors = _conjugated_mixed(rng, 1)
     full = correction_condition(code5, errors, tol=1e-9)
-    terms = sum(len(e.pauli_terms()[0]) for e in errors)
-    seen = []
-    scan = _Products.__call__
+    terms = np.cumsum([0] + [len(e.pauli_terms()[0]) for e in errors])
+    m = len(errors)
+    products, pairs = [], []
+    kernel, score = _PauliBlocks.blocks, _scalar_part
 
-    def counting(self, x, z):
-        seen.append(x.size)
-        return scan(self, x, z)
+    def counting_kernel(self, x, z):
+        products.append(x.size)
+        return kernel(self, x, z)
 
-    monkeypatch.setattr(_Products, "__call__", counting)
-    monkeypatch.setattr("holoqec.codes._CHUNK_BYTES", 16 * 32 * width)  # the frame has 32 rows
+    def counting_score(blocks):
+        pairs.append(blocks.shape[0])
+        return score(blocks)
+
+    monkeypatch.setattr(_PauliBlocks, "blocks", counting_kernel)
+    monkeypatch.setattr("holoqec.codes._scalar_part", counting_score)
+    monkeypatch.setattr("holoqec.codes._CHUNK_BYTES", 16 * 2**2 * width)  # K = 2
     rep = correction_condition(code5, errors, tol=1e-9)
-    assert max(seen) <= width and sum(seen) == terms**2
     assert rep.correctable and np.array_equal(rep.f_matrix, full.f_matrix)
+    assert len(products) == len(pairs) and sum(pairs) == m * m
+    seen, done = 0, 0
+    for count, distinct in zip(pairs, products):
+        (a, b), (a1, b1) = divmod(seen, m), divmod(seen + count - 1, m)  # first, last pair
+        whole = (b, b1) == (0, m - 1)
+        assert a1 == a or whole
+        rows = terms[a1 + 1] - terms[a]
+        cols = terms[b1 + 1] - terms[b]
+        size = min(width, max(512, done))
+        assert distinct <= rows * cols <= size
+        if whole and a1 + 1 < m:  # the next row would not fit
+            assert (terms[a1 + 2] - terms[a]) * terms[m] > size
+        elif not whole and b1 + 1 < m:  # nor the next column
+            assert rows * (terms[b1 + 2] - terms[b]) > size
+        seen, done = seen + count, done + rows * cols
+    assert done == terms[m] ** 2
 
 
 def test_conjugated_toric_set_answered_by_the_pauli_scan(toric3, rng, monkeypatch):
@@ -690,11 +735,11 @@ def test_conjugated_toric_set_answered_by_the_pauli_scan(toric3, rng, monkeypatc
 def test_success_side_f_bound(code5, monkeypatch):
     """Past the bound, the stored f values refuse; a witness found before that still answers.
 
-    Squdit s = 1 (16 errors) keeps 8 168 bytes after its third run: 128 f
-    values and 85 products of 72 bytes.  Squdit s = 2 finds its witness
-    (1, 55) in its first run, rows 0 and 1, before any f value is kept.
+    Squdit s = 1 (16 errors) keeps 4 096 bytes after its one run: 256 f
+    values.  Squdit s = 2 finds its witness (1, 55) in its first run, rows
+    0 to 3, before any f value is kept.
     """
-    monkeypatch.setattr("holoqec.frames.DENSE_BYTES_LIMIT", 6000)
+    monkeypatch.setattr("holoqec.frames.DENSE_BYTES_LIMIT", 4000)
     with pytest.raises(DenseSizeError, match="of 16 errors"):
         correction_condition(code5, squdit_errors(5, 1))
     rep = correction_condition(code5, squdit_errors(5, 2))

@@ -1,5 +1,6 @@
 """The toric vertical at L = 4 (32 qubits), stored on 4 * 2^15 support rows."""
 
+import time
 import tracemalloc
 
 import numpy as np
@@ -99,3 +100,29 @@ def test_distance_and_correctable_answer_at_l4():
     assert repr(res.witness) == "PauliString('+" + "ZZZZ" + "I" * 28 + "')"
     rep = correction_condition(tc.code, geolocal_errors(GeoLattice.toric_edges(4), 1, 1))
     assert rep.correctable and rep.witness is None
+
+
+@pytest.mark.parametrize("s, witness", [(2, (97, 646)), (3, (1, 17116))])
+def test_geolocal_scans_answer_at_l4(s, witness):
+    """geolocal(2,1) (4 561 errors) and geolocal(3,1) (138 481) fail at pinned pairs.
+
+    Each witness is checked on its own: E_a^dagger E_b preserves the code
+    and acts on it as a unitary that is not a scalar.  The traced peak of
+    the scan, kernel build included, was 6.2 and 6.4 blocks.
+    """
+    tc = tt.build_code(tt.TorusLattice(4), tt.DefectConfig((), ()), separation=0)
+    es = geolocal_errors(GeoLattice.toric_edges(4), s, 1)
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        rep = correction_condition(tc.code, es)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - t0 < 10.0
+    assert peak <= 8 * tc.frame.vals.nbytes
+    assert not rep.correctable and rep.witness == witness
+    a, b = witness
+    m = logical_action(tc.code, es[a].dagger() * es[b])
+    assert np.max(np.abs(m.conj().T @ m - np.eye(4))) < 1e-12
+    assert np.max(np.abs(m - m[0, 0] * np.eye(4))) > 0.5

@@ -20,7 +20,7 @@ from holoqec import (
 )
 from holoqec import transversal
 from holoqec.cli import _transversal_path_for_gate
-from holoqec.fivequbit import R3, STABILIZER_LABELS, logical_x, logical_z
+from holoqec.fivequbit import R3, STABILIZER_LABELS, flatness_endpoints, logical_x, logical_z
 from holoqec.pauli import SIGMA, apply_pauli, random_unitary
 from holoqec.transport import NONTRIVIAL_LOGICAL, PHASE_ONLY, NotALoopError, classify
 from holoqec.transversal import (
@@ -52,10 +52,7 @@ def repetition_code(d, n):
 
 
 def loop_endpoints():
-    return [PauliString.from_label(s) for s in STABILIZER_LABELS] + [
-        logical_x(),
-        logical_z(),
-    ]
+    return list(flatness_endpoints())
 
 
 # -- tangent algebra ----------------------------------------------------------
