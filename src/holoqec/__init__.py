@@ -52,6 +52,7 @@ from .transversal import (
     TransversalUnitary,
     TrivialActionReport,
     check_projectively_trivial_action,
+    code_lie_algebra,
     exponential_path,
     fl_lie_algebra,
     flatness_probe_transversal,

@@ -23,6 +23,7 @@ import numpy as np
 from . import (
     PauliString,
     code_from_json,
+    code_lie_algebra,
     correction_condition,
     distance,
     exponential_path,
@@ -242,13 +243,13 @@ def cmd_transversal(args) -> int:
     rng = np.random.default_rng(args.seed)
     ok = True
     if args.subcommand == "lie-dim":
-        basis = fl_lie_algebra(code)
+        basis = code_lie_algebra(code, fl_lie_algebra)
         results = {"dimension": basis.dimension}
         if args.expect is not None:
             ok = basis.dimension == args.expect
         _summary(f"logical tangent algebra dimension: {basis.dimension}")
     elif args.subcommand == "trivial-action":
-        basis = fl_lie_algebra(code)
+        basis = code_lie_algebra(code, fl_lie_algebra)
         rep = check_projectively_trivial_action(
             code, basis, args.samples, tol=args.tol, rng=rng
         )

@@ -9,13 +9,17 @@ Pauli violating that condition for the single-operator set {P}.
 
 Both scans evaluate Pauli blocks with one batched kernel over the frame's
 support rows.  A block is exactly zero, and never gathered, when the Pauli
-anticommutes with one of the code's stabilizer generators or its X part
-maps no support row onto the support; the correction condition takes each
-error as its exact Pauli expansion and evaluates each distinct product of
-two terms once per run.  The kernel bounds its own working set
-(``_CHUNK_BYTES``) for any number of Paulis; both scans hand it runs that
-start at 512 items and grow with the scan to about ``_CHUNK_BYTES`` of
-K x K blocks, and the correction condition keeps one f value per pair
+anticommutes with one of the code's stabilizer generators (its syndrome,
+one int64 mask, is not 0) or its X part maps no support row onto the
+support.  The correction condition takes each error as its exact Pauli
+expansion; it pairs only terms of equal syndrome, whose product commutes
+with every generator, and evaluates each distinct product once per run.
+With one unit-coefficient term per error it scores the distinct products
+and reads each pair's f and deviation off them.  The kernel bounds its own
+working set (``_CHUNK_BYTES``) for any number of Paulis; both scans hand it
+runs that start at 512 items and grow with the scan to about
+``_CHUNK_BYTES`` of K x K blocks, the correction condition reads a lazy
+ErrorSet only as far as its runs reach, and it keeps one f value per pair
 passed.  Both run on one thread; ``distance(threads=)`` is accepted and unused.
 """
 
@@ -157,6 +161,8 @@ _CHUNK_BYTES = 8 * 2**20
 # one as many as were scanned before it, up to the run budget: a witness met
 # early costs little, and a long scan makes few calls.
 _FIRST_RUN = 512
+# A Pauli's syndrome is one int64 mask, a bit per stabilizer generator
+_SYNDROME_BITS = 64
 # i^k for k = 0..3, and (-1)^k for k = 0, 1
 _UNITS = np.array([1, 1j, -1, -1j])
 _SIGNS = np.array([1.0, -1.0])
@@ -176,14 +182,16 @@ class _PauliBlocks:
     padded zero row.  The padded block, the contiguous F^dagger and the
     code's generators are fixed per frame;
     ``Code._blocks`` builds them once per code, and checks that each
-    generator S has S F = lambda F exactly for a unit lambda, or raises
-    ValueError naming S.
+    generator S has S F = lambda F exactly for a unit lambda, read off one
+    stored entry, or raises ValueError naming S.  More generators than the
+    64 bits of a syndrome mask are refused.
 
     A Pauli with an odd symplectic product popcount((x & gz) ^ (z & gx))
-    with some generator has B = lambda^-1 F^dagger P S F = -B = 0; it is
-    dropped before any other work.  When X^x maps no support row onto the
-    support, every block with that x is exactly zero and nothing is
-    gathered; for a toric frame that is most x.
+    with some generator has B = lambda^-1 F^dagger P S F = -B = 0; those
+    parities are the bits of its ``syndromes`` mask, and it is dropped
+    before any other work when the mask is not 0.  When X^x maps no
+    support row onto the support, every block with that x is exactly zero
+    and nothing is gathered; for a toric frame that is most x.
 
     The other Paulis are taken in order of x: their distinct x are looked
     up a group at a time (``_CHUNK_BYTES`` of lookup), and each group's live
@@ -200,14 +208,24 @@ class _PauliBlocks:
         self.n = frame.N.bit_length() - 1
         if self.n > 62:
             raise ValueError(f"Pauli bit masks are int64; n = {self.n} qubits is too many")
+        if len(stabilizers) > _SYNDROME_BITS:
+            raise ValueError(
+                f"{len(stabilizers)} stabilizer generators; an int64 syndrome mask "
+                f"holds {_SYNDROME_BITS}"
+            )
+        flat = frame.vals.ravel()
+        at = int(np.argmax(flat != 0))  # one stored entry picks the unit
         for s in stabilizers:
             image = apply_pauli(s, frame)
-            if not np.array_equal(image.rows, frame.rows) or not any(
-                np.array_equal(image.vals, u * frame.vals) for u in _UNITS
-            ):
+            fixed = np.array_equal(image.rows, frame.rows)
+            if fixed:
+                u = next((u for u in _UNITS if u * flat[at] == image.vals.flat[at]), None)
+                fixed = u is not None and np.array_equal(image.vals, u * frame.vals)
+            if not fixed:
                 raise ValueError(f"{s!r} does not fix the code's frame up to a unit")
         self.gx = np.array([s.x_bits for s in stabilizers], dtype=np.int64)
         self.gz = np.array([s.z_bits for s in stabilizers], dtype=np.int64)
+        self.bit = np.left_shift(1, np.arange(self.gx.size, dtype=np.int64))
         self.rows = frame.rows
         self.padded = np.vstack([frame.vals, np.zeros((1, frame.K), dtype=complex)])
         self.left = np.ascontiguousarray(frame.vals.conj().T)
@@ -218,10 +236,7 @@ class _PauliBlocks:
         chunk = max(1, _CHUNK_BYTES // (16 * r * k))
         group = max(1, _CHUNK_BYTES // (24 * r))
         out = np.zeros((x.size, k, k), dtype=complex)
-        odd = x[:, None] & self.gz  # the symplectic product with each generator
-        odd ^= z[:, None] & self.gx
-        keep = np.flatnonzero(~(np.bitwise_count(odd) & 1).any(axis=1))
-        del odd  # 8 bytes per Pauli and generator, not needed past the test
+        keep = np.flatnonzero(self.syndromes(x, z) == 0)
         xs, inverse = np.unique(x[keep], return_inverse=True)
         by_x = np.argsort(inverse, kind="stable")
         keep, inverse = keep[by_x], inverse[by_x]
@@ -237,6 +252,13 @@ class _PauliBlocks:
                 i = keep[lo + part]
                 out[i] = self._step(x[i], z[i], at, u[part])
         return out
+
+    def syndromes(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """One int64 mask per Pauli X^x[i] Z^z[i]: bit g is the parity of its symplectic
+        product with generator g, so the product of two Paulis has the XOR of their masks."""
+        odd = x[:, None] & self.gz
+        odd ^= z[:, None] & self.gx
+        return (np.bitwise_count(odd) & 1) @ self.bit
 
     def _step(self, x: np.ndarray, z: np.ndarray, at: np.ndarray, u: np.ndarray) -> np.ndarray:
         """The blocks of X^x[i] Z^z[i], sorted by x, whose x gathers the rows at[u[i]]."""
@@ -260,18 +282,65 @@ def _scalar_part(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return f, np.abs(entries).max(axis=0)
 
 
-def _pauli_terms(errors) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(ends, x, z, c): rows ends[a]..ends[a+1]-1 hold the pauli_terms c X^x Z^z of error a.
+def _pauli_terms(errors):
+    """(ends, read, units): rows ends[a]..ends[a+1]-1 of the term table hold the
+    pauli_terms c X^x Z^z of error a, ``read(stop)`` gives (x, z, c) of at least
+    its first ``stop`` rows, and ``units`` says that every c is 1, i, -1 or -i.
 
-    An ErrorSet is one term per error, read straight from its (x, z, phase)
-    arrays.  Any other iterable is taken as PauliStrings and LocalOperators,
+    An ErrorSet is one term i^phase X^x Z^z per error, read through
+    ``ErrorSet.prefix``, so a lazy set is expanded only as far as the scan
+    reads.  Any other iterable is taken as PauliStrings and LocalOperators,
     each expanded by its ``pauli_terms``.
     """
     if isinstance(errors, ErrorSet):
-        return np.arange(len(errors) + 1), errors.x, errors.z, _UNITS[errors.phase]
+
+        def read(stop):
+            x, z, phase = errors.prefix(stop)
+            return x, z, _UNITS[phase]
+
+        return np.arange(len(errors) + 1), read, True
     terms = [e.pauli_terms() for e in errors]
     x, z, c = (np.concatenate([t[i] for t in terms]) for i in range(3))
-    return np.cumsum([0] + [t[0].size for t in terms]), x, z, c
+    ends = np.cumsum([0] + [t[0].size for t in terms])
+    return ends, lambda stop: (x, z, c), bool(np.isin(c, _UNITS).all())
+
+
+def _pair_scores(kernel: _PauliBlocks, ta, tb, ea, eb, units: bool):
+    """(f, deviation) of every pair of a run's errors a and b, a-major.
+
+    ``ta`` and ``tb`` are the (x, z, c) terms of the run's errors a and of
+    its errors b, and ``ea`` and ``eb`` each error's first term in them,
+    then their count.  Only term pairs with equal syndromes are keyed,
+    deduplicated and evaluated, once per distinct product: the product of
+    any other pair anticommutes with a generator, so its block is 0.
+    """
+    (xa, za, ca), (xb, zb, cb) = ta, tb
+    ia, ib = np.nonzero(kernel.syndromes(xa, za)[:, None] == kernel.syndromes(xb, zb))
+    n, k = kernel.n, kernel.left.shape[0]
+    keys = (xa[ia] ^ xb[ib]).astype(np.uint64) << n | (za[ia] ^ zb[ib]).astype(np.uint64)
+    keys, inverse = np.unique(keys, return_inverse=True)
+    blocks = kernel.blocks((keys >> n).astype(np.int64), (keys & ((1 << n) - 1)).astype(np.int64))
+    # (c_s X^x_s Z^z_s)^dagger c_t X^x_t Z^z_t is conj(c_s) c_t
+    # (-1)^{|x_s & z_s| + |z_s & x_t|} X^{x_s ^ x_t} Z^{z_s ^ z_t}
+    left = ca.conj() * _SIGNS[np.bitwise_count(xa & za) & 1]
+    pairs = xa.size * xb.size
+    single = pairs == (ea.size - 1) * (eb.size - 1)  # every error of the run is one term
+    if single and units:  # f = coef f_key and the deviation is the key's, exactly
+        coef = left[ia] * cb[ib] * _SIGNS[np.bitwise_count(za[ia] & xb[ib]) & 1]
+        f_key, dev_key = _scalar_part(blocks)
+        f, dev = np.zeros(pairs, dtype=complex), np.zeros(pairs)
+        live = ia * xb.size + ib
+        f[live], dev[live] = coef * f_key[inverse], dev_key[inverse]
+        return f, dev
+    out = np.zeros((xa.size, xb.size, k, k), dtype=complex)
+    out[ia, ib] = blocks[inverse]
+    del blocks
+    coef = left[:, None] * cb * _SIGNS[np.bitwise_count(za[:, None] & xb) & 1]
+    np.multiply(coef[..., None, None], out, out=out)
+    if not single:  # sum each pair's term blocks: over the terms of b, then over those of a
+        out = np.add.reduceat(out, eb[:-1], axis=1)
+        out = np.add.reduceat(out, ea[:-1], axis=0)
+    return _scalar_part(out.reshape(-1, k, k))
 
 
 def correction_condition(code: Code, errors, tol: float = 1e-9) -> CorrectionReport:
@@ -285,29 +354,34 @@ def correction_condition(code: Code, errors, tol: float = 1e-9) -> CorrectionRep
     Every error enters as its exact Pauli expansion E_a = sum_s c_s X^x_s Z^z_s
     (one term for a PauliString, up to 4^w for a LocalOperator on w sites),
     so B^{ab} sums conj(c_s) c_t (-1)^{|x_s & z_s| + |z_s & x_t|} times the
-    block of X^{x_s ^ x_t} Z^{z_s ^ z_t} over the terms of a and b.  Each
-    run keys its products as x << n | z in uint64, so n <= 32, and the
-    kernel evaluates each distinct product of the run once.  With one term
-    per error the coefficients are exact units, so a Pauli set's f and
-    deviations are those of its products.
+    block of X^{x_s ^ x_t} Z^{z_s ^ z_t} over the terms of a and b.  The
+    symplectic product is bilinear, so a product anticommutes with some
+    stabilizer generator exactly when its two terms' syndromes differ; those
+    term pairs give 0 and are never keyed (Gottesman, quant-ph/9705052).
+    Each run keys its other products as x << n | z in uint64, so n <= 32,
+    and the kernel evaluates each distinct one once.  When every error of
+    a run is one term with a unit coefficient (any ErrorSet), each pair's f
+    is its coefficient times its product's f, and its deviation is the
+    product's, exactly; no per-pair block is formed.  Runs of other errors
+    sum each pair's term blocks before scoring them.
 
     Pairs are scanned in runs of consecutive a * m + b holding at most
     ``_run_size`` term pairs: 512 first, then as many as were scanned,
     up to about ``_CHUNK_BYTES`` of K x K blocks.  A run is as many whole
-    rows as fit, or a row too wide for that in chunks of columns.
+    rows as fit, or a row too wide for that in chunks of columns, and an
+    ErrorSet is read (and a lazy one expanded) only up to the last error
+    of the run.
 
     Memory grows with the scan by 16 bytes per pair passed.  Once that
     would pass the dense bound, DenseSizeError is raised; a set that fails
     earlier still returns its witness.  The m x m ``f_matrix`` is stacked
     only when every pair has passed.
     """
-    ends, x, z, c = _pauli_terms(errors)
+    ends, read, units = _pauli_terms(errors)
     m = ends.size - 1
-    # (c_s X^x_s Z^z_s)^dagger = conj(c_s) (-1)^{|x_s & z_s|} X^x_s Z^z_s
-    left = c.conj() * _SIGNS[np.bitwise_count(x & z) & 1]
-    kernel, k, n = code._blocks, code.K, code._blocks.n
-    if 2 * n > 64:
-        raise ValueError(f"product keys are uint64; n = {n} qubits is too many")
+    kernel, k = code._blocks, code.K
+    if 2 * kernel.n > 64:
+        raise ValueError(f"product keys are uint64; n = {kernel.n} qubits is too many")
 
     f_runs = [np.empty(0, dtype=complex)]
     a = b = done = 0
@@ -320,20 +394,13 @@ def correction_condition(code: Code, errors, tol: float = 1e-9) -> CorrectionRep
             a1 = a + 1
             cut = ends[b] + size // (ends[a + 1] - ends[a])
             b1 = min(m, max(b + 1, int(np.searchsorted(ends, cut, side="right")) - 1))
-        s, t = slice(ends[a], ends[a1]), slice(ends[b], ends[b1])  # the terms of a and of b
-        coef = left[s, None] * c[t] * _SIGNS[np.bitwise_count(z[s, None] & x[t]) & 1]
-        done += coef.size
-        keys = (x[s, None] ^ x[t]).astype(np.uint64) << n | (z[s, None] ^ z[t]).astype(np.uint64)
-        keys, inverse = np.unique(keys, return_inverse=True)
-        hi, lo = (keys >> n).astype(np.int64), (keys & ((1 << n) - 1)).astype(np.int64)
-        blocks = kernel.blocks(hi, lo).take(inverse.reshape(coef.shape), axis=0)
-        np.multiply(coef[..., None, None], blocks, out=blocks)
-        if blocks.shape[:2] != (a1 - a, b1 - b):  # else every error of the run is one term
-            # sum each pair's term blocks: over the terms of b, then over those of a
-            blocks = np.add.reduceat(blocks, ends[b:b1] - ends[b], axis=1)
-            blocks = np.add.reduceat(blocks, ends[a:a1] - ends[a], axis=0)
-        f, dev = _scalar_part(blocks.reshape(-1, k, k))
-        del blocks  # else it stays alive through the next run's kernel call
+        terms = read(ends[max(a1, b1)])
+        ea, eb = ends[a : a1 + 1] - ends[a], ends[b : b1 + 1] - ends[b]
+        f, dev = _pair_scores(
+            kernel, [t[ends[a] : ends[a1]] for t in terms],
+            [t[ends[b] : ends[b1]] for t in terms], ea, eb, units,
+        )
+        done += ea[-1] * eb[-1]
         bad = np.flatnonzero(dev >= tol)
         if bad.size:
             i, j = divmod(int(bad[0]), b1 - b)

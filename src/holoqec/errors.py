@@ -4,9 +4,12 @@ Both generators include the identity first and enumerate deterministically:
 by weight, then support lexicographically, then the 3^w letters on each
 support.  ``squdit_errors`` orders the letters X < Y < Z per site with the
 first site slowest; ``geolocal_errors`` orders them by (x mask, z mask).
-Both fill an ErrorSet's (x, z, phase) int64 arrays straight from
-``pauli_bits``, and ``geolocal_errors`` works on its disks, their unions and
-their subsets as numpy arrays of int64 site masks, in batches bounded by the
+Both find their supports eagerly, so the length and every refusal
+(``EnumerationCapError`` included) come at the call, and return an ErrorSet
+that expands the letters on its supports with ``pauli_bits`` only as far as
+it is read: a fail-fast correction scan expands about as many errors as it
+reads.  ``geolocal_errors`` works on its disks, their unions and their
+subsets as numpy arrays of int64 site masks, in batches bounded by the
 enumeration cap.  A PauliString is built only when a caller indexes or
 iterates the set.
 """
@@ -50,14 +53,19 @@ class EnumerationCapError(RuntimeError):
 class ErrorSet:
     """An ordered set of n-qubit Pauli errors with the identity first.
 
-    Error a is i^phase[a] X^x[a] Z^z[a], stored as read-only int64 arrays
-    ``x``, ``z`` and ``phase``; the correction condition reads them as they
-    are.  ``ErrorSet(paulis)`` builds one from PauliStrings and
-    ``ErrorSet.from_bits(n, x, z)`` from bit masks.  Indexing and iteration
-    build PauliStrings on demand.
+    Error a is i^phase[a] X^x[a] Z^z[a].  ``ErrorSet(paulis)`` builds one
+    from PauliStrings and ``ErrorSet.from_bits(n, x, z)`` from bit masks;
+    both hold their arrays from the start.  The generators build sets that
+    know their length from their supports and expand the 3^w letters on
+    each support only when read: ``prefix(stop)`` expands at least the
+    first ``stop`` errors, in whole supports and at least doubling what is
+    expanded, and returns their read-only (x, z, phase) arrays, which is how
+    the correction condition reads a set.  ``x``, ``z`` and ``phase`` are
+    the whole read-only arrays, expanded on first access, and ``len`` expands
+    nothing.  Indexing and iteration build PauliStrings on demand.
     """
 
-    __slots__ = ("n", "x", "z", "phase")
+    __slots__ = ("n", "_size", "_parts", "_x", "_z", "_phase", "_done")
 
     def __init__(self, paulis: Sequence[PauliString]):
         paulis = tuple(paulis)
@@ -73,32 +81,101 @@ class ErrorSet:
         """The errors X^x Z^z times i^(number of Y letters), so each letter is Hermitian."""
         es = cls.__new__(cls)
         x, z = np.array(x, dtype=np.int64), np.array(z, dtype=np.int64)
-        es._set(n, x, z, np.bitwise_count(x & z).astype(np.int64) & 3)
+        es._set(n, x, z, _hermitian_phase(x, z))
+        return es
+
+    @classmethod
+    def _on_supports(cls, n: int, parts: Sequence[tuple[np.ndarray, np.ndarray]]) -> "ErrorSet":
+        """The identity, then for each (supports, order) the 3^w Hermitian Paulis with full
+        support on each row of the (c, w) site array, letters in ``pauli_bits`` order
+        permuted by ``order``; nothing past the identity is expanded yet."""
+        _check_qubits(n)
+        es = cls.__new__(cls)
+        es.n, es._parts, es._size, es._done = n, [], 1, 1
+        for supports, order in parts:
+            es._parts.append((es._size, supports, order))
+            es._size += supports.shape[0] * order.size
+        es._x, es._z, es._phase = (np.zeros(es._size, dtype=np.int64) for _ in range(3))
         return es
 
     def _set(self, n: int, x: np.ndarray, z: np.ndarray, phase: np.ndarray) -> None:
         if x.ndim != 1 or not x.shape == z.shape == phase.shape:
             raise ValueError("need one x, z and phase per error")
-        if n > 63:
-            raise ValueError(f"Pauli bit masks are int64; n = {n} qubits is too many")
+        _check_qubits(n)
         if np.any((x | z) >> n):  # a bit at or above n, or a negative mask
             raise ValueError("bit mask exceeds qubit count")
         if not x.size or x[0] or z[0]:
             raise ValueError("error sets must contain the identity (first)")
         for a in (x, z, phase):
             a.setflags(write=False)
-        self.n, self.x, self.z, self.phase = n, x, z, phase
+        self.n, self._x, self._z, self._phase = n, x, z, phase
+        self._size = self._done = x.size
+        self._parts = []
+
+    def _expand(self, stop: int) -> None:
+        """Expand whole supports until at least ``stop`` errors, and at least twice those
+        already expanded (or all of them), are."""
+        stop = min(self._size, max(stop, 2 * self._done))
+        for start, supports, order in self._parts:
+            per = order.size
+            if self._done >= stop:
+                break
+            if self._done >= start + per * supports.shape[0]:
+                continue
+            i, j = (self._done - start) // per, min(supports.shape[0], -(-(stop - start) // per))
+            x, z = (a.reshape(-1, per)[:, order].ravel() for a in pauli_bits(supports[i:j]))
+            lo, hi = start + i * per, start + j * per
+            self._x[lo:hi], self._z[lo:hi], self._phase[lo:hi] = x, z, _hermitian_phase(x, z)
+            self._done = hi
+        if self._done == self._size:
+            for a in (self._x, self._z, self._phase):
+                a.setflags(write=False)
+
+    def prefix(self, stop: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only (x, z, phase) arrays of the first ``stop`` errors."""
+        if stop > self._done:
+            self._expand(stop)
+        views = self._x[:stop], self._z[:stop], self._phase[:stop]
+        for v in views:
+            v.setflags(write=False)
+        return views
+
+    @property
+    def x(self) -> np.ndarray:
+        return self.prefix(self._size)[0]
+
+    @property
+    def z(self) -> np.ndarray:
+        return self.prefix(self._size)[1]
+
+    @property
+    def phase(self) -> np.ndarray:
+        return self.prefix(self._size)[2]
 
     def __len__(self) -> int:
-        return self.x.size
+        return self._size
 
     def __getitem__(self, i) -> PauliString:
         i = operator.index(i)
-        return PauliString(self.n, int(self.x[i]), int(self.z[i]), int(self.phase[i]))
+        if not -self._size <= i < self._size:
+            raise IndexError(f"error index {i} out of range for {self._size} errors")
+        i %= self._size
+        x, z, phase = self.prefix(i + 1)
+        return PauliString(self.n, int(x[i]), int(z[i]), int(phase[i]))
 
     def __iter__(self) -> Iterator[PauliString]:
-        for xzk in zip(self.x.tolist(), self.z.tolist(), self.phase.tolist()):
+        for xzk in zip(*(a.tolist() for a in self.prefix(self._size))):
             yield PauliString(self.n, *xzk)
+
+
+def _hermitian_phase(x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """i^(number of Y letters): the phase that makes X^x Z^z a product of Hermitian letters."""
+    return np.bitwise_count(x & z).astype(np.int64) & 3
+
+
+def _check_qubits(n: int) -> None:
+    if n > 63:
+        raise ValueError(f"Pauli bit masks are int64; n = {n} qubits is too many")
 
 
 def pauli_bits(supports: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -117,19 +194,17 @@ def pauli_bits(supports: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def squdit_errors(n: int, s: int) -> ErrorSet:
-    """All Pauli strings of weight <= s, identity included.
+    """All Pauli strings of weight <= s, identity included, expanded when read.
 
     Size is sum_{w<=s} C(n, w) 3^w.
     """
     if not 0 <= s <= n:
         raise ValueError(f"need 0 <= s <= n, got s={s}, n={n}")
-    x, z = [np.zeros(1, dtype=np.int64)], [np.zeros(1, dtype=np.int64)]
-    for w in range(1, s + 1):
-        supports = np.array(list(itertools.combinations(range(n), w)), dtype=np.int64)
-        xw, zw = pauli_bits(supports)
-        x.append(xw)
-        z.append(zw)
-    return ErrorSet.from_bits(n, np.concatenate(x), np.concatenate(z))
+    parts = [
+        (np.array(list(itertools.combinations(range(n), w)), dtype=np.int64), np.arange(3**w))
+        for w in range(1, s + 1)
+    ]
+    return ErrorSet._on_supports(n, parts)
 
 
 @dataclass(frozen=True)
@@ -179,7 +254,8 @@ def geolocal_errors(
     The supports (every non-empty subset of a union, counted once) are put
     in (weight, sites) order, and the 3^w Paulis on a weight-w support in
     (x mask, z mask) order: a permutation that depends on w alone, so it is
-    found once per weight on the support (0, ..., w-1).
+    found once per weight on the support (0, ..., w-1).  The letters are
+    expanded when the set is read (``ErrorSet.prefix``).
     """
     if s < 0:
         raise ValueError("s must be non-negative")
@@ -227,17 +303,13 @@ def geolocal_errors(
             subsets.setdefault(w, []).append(sites[:, pick].reshape(-1, w))
     # a support inside several unions is enumerated once: the letters on a
     # support determine the Pauli, so distinct supports give distinct errors
-    x, z = [np.zeros(1, dtype=np.int64)], [np.zeros(1, dtype=np.int64)]
+    parts = []
     for w in sorted(subsets):
         rows = np.concatenate(subsets[w])
         rows = rows[np.unique(bits[rows].sum(axis=1), return_index=True)[1]]
-        rows = rows[np.lexsort(rows.T[::-1])]
         cx, cz = pauli_bits(np.arange(w)[None])
-        order = np.lexsort((cz, cx))
-        xw, zw = pauli_bits(rows)
-        x.append(xw.reshape(-1, 3**w)[:, order].ravel())
-        z.append(zw.reshape(-1, 3**w)[:, order].ravel())
-    return ErrorSet.from_bits(n, np.concatenate(x), np.concatenate(z))
+        parts.append((rows[np.lexsort(rows.T[::-1])], np.lexsort((cz, cx))))
+    return ErrorSet._on_supports(n, parts)
 
 
 def conjugated_error_set(

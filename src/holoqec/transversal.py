@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -41,6 +41,7 @@ __all__ = [
     "TransversalPath",
     "LieAlgebraBasis",
     "fl_lie_algebra",
+    "code_lie_algebra",
     "check_projectively_trivial_action",
     "TrivialActionReport",
     "pauli_generator_path",
@@ -359,6 +360,24 @@ def fl_lie_algebra(code: Code, sv_cutoff: float = 1e-10) -> LieAlgebraBasis:
     return LieAlgebraBasis(code.qudit_dims, null_rows)
 
 
+def code_lie_algebra(
+    code: Code, build: Callable[[Code], LieAlgebraBasis] | None = None
+) -> LieAlgebraBasis:
+    """``build(code)``, by default ``fl_lie_algebra(code)``, computed once per code.
+
+    A code is immutable, so its basis is fixed; the code keeps it with the
+    function that built it, and a different ``build`` (a wrapped or replaced
+    ``fl_lie_algebra``) is called again and kept in its place.
+    ``fl_lie_algebra`` itself stays uncached.
+    """
+    build = build or fl_lie_algebra
+    held = code.__dict__.get("_lie_algebra")
+    if held is None or held[0] is not build:
+        held = (build, build(code))
+        object.__setattr__(code, "_lie_algebra", held)
+    return held[1]
+
+
 @dataclass(frozen=True)
 class TrivialActionReport:
     samples: int
@@ -472,7 +491,7 @@ def flatness_probe_transversal(
     """
     _check_count(trials, "trials")
     rng = rng or np.random.default_rng(0)
-    basis = fl_lie_algebra(code)
+    basis = code_lie_algebra(code)
     per_chunk = max(1, _chunk(code) // 3)  # three paths a trial
     worst = 0.0
     for start in range(0, trials, per_chunk):

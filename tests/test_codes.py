@@ -24,11 +24,11 @@ from holoqec import (
     stabilizer_code,
 )
 from holoqec import toric as tt
-from holoqec.codes import _UNITS, _PauliBlocks, _scalar_part, _weight_class
-from holoqec.errors import GeoLattice, conjugated_error_set, geolocal_errors
+from holoqec.codes import _UNITS, _PauliBlocks, _pair_scores, _weight_class
+from holoqec.errors import ErrorSet, GeoLattice, conjugated_error_set, geolocal_errors
 from holoqec.fivequbit import logical_x, logical_z, stabilizer_generators
 from holoqec.frames import DenseSizeError, orthonormalize
-from holoqec.pauli import apply_pauli, pauli_mul, random_unitary
+from holoqec.pauli import SIGMA, LocalOperator, apply_pauli, pauli_mul, random_unitary
 
 
 def dense_correction_oracle(code, errors, tol=1e-9):
@@ -643,26 +643,29 @@ def test_runs_hold_at_most_the_kernel_width(width, code5, rng, monkeypatch):
     term pairs, and one more row, or column of its row, would not fit.  The
     mixed set has 1 to 4 terms per error, so runs of whole rows, row chunks
     and single pairs all occur; the answer does not depend on them.  A
-    run's term pairs are counted from the pairs it scores, in row-major
-    order, and the kernel sees at most that many distinct products.
+    run's term pairs are counted from the pairs ``_pair_scores`` scores for
+    it, in row-major order, and the kernel sees at most that many distinct
+    products.
     """
     errors = _conjugated_mixed(rng, 1)
     full = correction_condition(code5, errors, tol=1e-9)
     terms = np.cumsum([0] + [len(e.pauli_terms()[0]) for e in errors])
     m = len(errors)
     products, pairs = [], []
-    kernel, score = _PauliBlocks.blocks, _scalar_part
+    kernel, score = _PauliBlocks.blocks, _pair_scores
 
     def counting_kernel(self, x, z):
         products.append(x.size)
         return kernel(self, x, z)
 
-    def counting_score(blocks):
-        pairs.append(blocks.shape[0])
-        return score(blocks)
+    def counting_score(*args):
+        f, dev = score(*args)
+        assert f.shape == dev.shape
+        pairs.append(f.size)
+        return f, dev
 
     monkeypatch.setattr(_PauliBlocks, "blocks", counting_kernel)
-    monkeypatch.setattr("holoqec.codes._scalar_part", counting_score)
+    monkeypatch.setattr("holoqec.codes._pair_scores", counting_score)
     monkeypatch.setattr("holoqec.codes._CHUNK_BYTES", 16 * 2**2 * width)  # K = 2
     rep = correction_condition(code5, errors, tol=1e-9)
     assert rep.correctable and np.array_equal(rep.f_matrix, full.f_matrix)
@@ -744,3 +747,142 @@ def test_success_side_f_bound(code5, monkeypatch):
         correction_condition(code5, squdit_errors(5, 1))
     rep = correction_condition(code5, squdit_errors(5, 2))
     assert rep.witness == (1, 55)
+
+
+def test_kernel_refuses_more_generators_than_a_syndrome_mask_holds(code5):
+    """68 generators (the four, seventeen times) are refused by every scan; 64 fit the mask."""
+    many = Code(code5.frame, code5.qudit_dims, code5.stabilizers * 17)
+    for scan in (
+        lambda: many._blocks,
+        lambda: distance(many, 1),
+        lambda: correction_condition(many, squdit_errors(5, 1)),
+    ):
+        with pytest.raises(ValueError, match="68 stabilizer generators; an int64 syndrome mask"):
+            scan()
+    full = Code(code5.frame, code5.qudit_dims, code5.stabilizers * 16)  # bit 63 is the sign bit
+    assert _scan_answers(full)[0] == _scan_answers(code5)[0]
+    for (wg, dg, fg), (ww, dw, fw) in zip(_scan_answers(full)[1], _scan_answers(code5)[1]):
+        assert wg == ww and dg == dw
+        assert (fg is None and fw is None) or np.array_equal(fg, fw)
+
+
+def test_kernel_takes_generators_that_fix_the_frame_up_to_any_unit(code5):
+    """-S and iS fix the frame with lambda = -1 and i; each is checked by one exact comparison."""
+    gens = tuple(
+        PauliString(g.n, g.x_bits, g.z_bits, (g.phase_exp + k) % 4)
+        for k, g in zip((2, 1, 3, 0), code5.stabilizers)
+    )
+    want = _scan_answers(code5)
+    got = _scan_answers(Code(code5.frame, code5.qudit_dims, gens))
+    assert got[0] == want[0] and [w[:2] for w in got[1]] == [w[:2] for w in want[1]]
+
+
+# -- the syndrome filter against a brute per-pair scan on random stabilizer codes
+
+
+def _independent_commuting(n, candidates):
+    """Hermitian Paulis from (x, z, negative) candidates that commute with and are
+    GF(2)-independent of those kept before them, so no product of them is -I."""
+    gens, basis = [], []
+    for x, z, negative in candidates:
+        p = PauliString(n, x, z, ((x & z).bit_count() + 2 * negative) % 4)
+        v = x << n | z
+        for b in basis:  # sorted so that each b's top bit is above the next one's
+            v = min(v, v ^ b)
+        if v and all(p.commutes_with(g) for g in gens):
+            gens.append(p)
+            basis = sorted([*basis, v], reverse=True)
+    return gens or [PauliString.single(n, 0, "Z")]
+
+
+def _random_stabilizer_code(data):
+    n = data.draw(st.integers(1, 8), label="n")
+    word = st.integers(0, 2**n - 1)
+    gens = _independent_commuting(
+        n, data.draw(st.lists(st.tuples(word, word, st.booleans()), max_size=n), label="generators")
+    )
+    seeds, want = [], data.draw(st.integers(1, 3), label="K")
+    for seed in data.draw(st.permutations(range(2**n)), label="seed order"):
+        try:  # a seed the projector kills, or one on another seed's codeword, is skipped
+            stabilizer_code(gens, [*seeds, seed])
+        except ValueError:
+            continue
+        seeds.append(seed)
+        if len(seeds) == want:
+            break
+    return stabilizer_code(gens, seeds)
+
+
+# Site factors whose Pauli coefficients are 0, +-1, +-i or half of one, so
+# every product of coefficients is exact and the term sums of the scan and of
+# the reference round alike: the Paulis, and |0><0|, |1><1|, |0><1|, |1><0|.
+_DYADIC_FACTORS = [SIGMA["X"], SIGMA["Y"], 1j * SIGMA["Z"], *np.eye(4).reshape(4, 2, 2)]
+
+
+def _random_errors(data, n):
+    """An ErrorSet with random phases, or a PauliString/LocalOperator list."""
+    word = st.integers(0, 2**n - 1)
+    paulis = [PauliString.identity(n)] + [
+        PauliString(n, x, z, k)
+        for x, z, k in data.draw(st.lists(st.tuples(word, word, st.integers(0, 3)), max_size=7))
+    ]
+    if data.draw(st.booleans(), label="error set"):
+        return ErrorSet(paulis)
+    errors = list(paulis)
+    for _ in range(data.draw(st.integers(1, 4), label="local operators")):
+        sites = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2, unique=True))
+        index = st.integers(0, len(_DYADIC_FACTORS) - 1)
+        factors = tuple(_DYADIC_FACTORS[data.draw(index)] for _ in sites)
+        at = data.draw(st.integers(0, len(errors)))
+        errors.insert(at, LocalOperator(n, tuple(sites), factors))
+    return errors
+
+
+def brute_correction_scan(code, errors, tol=1e-9):
+    """Row-major, per-pair, fail-fast loop over each pair's Pauli terms: (witness, deviation, f).
+
+    B^{ab} sums conj(c_s) c_t F^dagger P_s^dagger P_t F over the terms of a, then
+    over those of b, in order; a product that anticommutes with a generator
+    gives 0, any other its ``pauli_block_reference``.
+    """
+    n, k, eye = code.n, code.K, np.eye(code.K)
+    terms = [
+        [(c, PauliString(n, int(x), int(z))) for x, z, c in zip(*e.pauli_terms())]
+        for e in errors
+    ]
+    blocks = {}
+
+    def block(p):
+        key = (p.x_bits, p.z_bits)
+        if key not in blocks:
+            phase_free = PauliString(n, *key)
+            live = all(phase_free.commutes_with(g) for g in code.stabilizers)
+            blocks[key] = pauli_block_reference(code.frame, phase_free) if live else 0 * eye
+        return p.phase * blocks[key]
+
+    f = np.zeros((len(terms), len(terms)), dtype=complex)
+    for a, ta in enumerate(terms):
+        for b, tb in enumerate(terms):
+            B = sum(
+                sum(np.conj(cs) * ct * block(ps.dagger() * pt) for ct, pt in tb) for cs, ps in ta
+            )
+            f[a, b] = np.trace(B) / k
+            dev = float(np.max(np.abs(B - f[a, b] * eye)))
+            if dev >= tol:
+                return (a, b), dev, None
+    return None, 0.0, f
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_syndrome_filtered_scan_equals_the_brute_scan(data):
+    """The scan and the brute loop agree exactly on a random stabilizer code, with its
+    generators and as a code file with none, where every term pair is live."""
+    code = _random_stabilizer_code(data)
+    errors = _random_errors(data, code.n)
+    for scanned in (code, code_from_json(code_to_json(code))):
+        rep = correction_condition(scanned, errors, tol=1e-9)
+        witness, dev, f = brute_correction_scan(scanned, errors, tol=1e-9)
+        assert rep.witness == witness and rep.max_deviation == dev
+        assert (rep.f_matrix is None) == (f is None)
+        assert f is None or np.array_equal(rep.f_matrix, f)

@@ -321,3 +321,71 @@ def test_enumerations_match_the_pinned_digest():
             for p in squdit_errors(n, s):
                 h.update(repr((p.x_bits, p.z_bits, p.phase_exp)).encode())
     assert h.hexdigest() == ENUMERATION_SHA256
+
+
+# -- lazy expansion: the generators know their length and expand when read ----
+
+
+def _counting_pauli_bits(monkeypatch) -> list[int]:
+    """Patch the letter expansion to record the Paulis each call makes."""
+    made, bits = [], pauli_bits
+
+    def counting(supports):
+        x, z = bits(supports)
+        made.append(x.size)
+        return x, z
+
+    monkeypatch.setattr("holoqec.errors.pauli_bits", counting)
+    return made
+
+
+def test_len_expands_nothing(monkeypatch):
+    made = _counting_pauli_bits(monkeypatch)
+    sets = [squdit_errors(6, 3), geolocal_errors(GeoLattice.toric_edges(3), 3, 1)]
+    # geolocal finds its letter order once per weight, on one support
+    assert sum(made) == 3 + 9 + 27
+    assert [len(es) for es in sets] == [1 + 6 * 3 + 15 * 9 + 20 * 27, 23464]
+    assert sum(made) == 3 + 9 + 27
+
+
+def _lazy_sets():
+    for L in (2, 3):
+        for s in range(4):
+            for t in range(1, 4):
+                try:
+                    geolocal_errors(GeoLattice.toric_edges(L), s, t)
+                except EnumerationCapError:
+                    continue
+                yield functools.partial(geolocal_errors, GeoLattice.toric_edges(L), s, t)
+    for n in range(1, 7):
+        for s in range(min(n, 3) + 1):
+            yield functools.partial(squdit_errors, n, s)
+
+
+def test_prefixes_and_items_equal_the_whole_arrays():
+    """For every set of the digest test: prefixes read in growing order, then items
+    read backwards from a fresh set, equal the arrays of a set expanded at once."""
+    for make in _lazy_sets():
+        whole = make()
+        arrays = whole.x, whole.z, whole.phase
+        m = len(whole)
+        read = make()
+        for stop in sorted({1, 2, 5, m // 7, m // 3, m - 1, m}):
+            got = read.prefix(stop)
+            assert all(np.array_equal(a, b[:stop]) for a, b in zip(got, arrays))
+            assert not any(a.flags.writeable for a in got)
+        read = make()
+        for i in (m - 1, m // 2, -m, 0):
+            assert read[i] == whole[i]
+        with pytest.raises(IndexError):
+            read[m]
+
+
+def test_fail_fast_scan_expands_about_what_it_reads(toric3, monkeypatch):
+    """L = 3 geolocal(3,1) fails at (0, 1432) in the scan's third run, which reads
+    errors 0 to 2047 of 23 464: at most twice that many are expanded."""
+    made = _counting_pauli_bits(monkeypatch)
+    es = geolocal_errors(GeoLattice.toric_edges(3), 3, 1)
+    rep = correction_condition(toric3.code, es, tol=1e-9)
+    assert rep.witness == (0, 1432)
+    assert 2048 <= sum(made) <= 2 * 2048

@@ -10,6 +10,7 @@ from holoqec import (
     Frame,
     PauliString,
     check_projectively_trivial_action,
+    code_lie_algebra,
     distance,
     exponential_path,
     fl_lie_algebra,
@@ -565,3 +566,32 @@ def test_flatness_memory_does_not_grow_with_trials(code5):
     _flatness_peak(code5, 3)  # first-call caches
     small, large = _flatness_peak(code5, 30), _flatness_peak(code5, 3000)
     assert large < small + transversal._CHUNK_BYTES
+
+
+def test_lie_algebra_is_built_once_per_code_and_builder(code5, monkeypatch, tmp_path):
+    """code_lie_algebra keeps one basis per code; fl_lie_algebra stays uncached, and a
+    replaced builder (a wrapper, a test double) is called again."""
+    calls = []
+
+    def counting(code):
+        calls.append(code)
+        return fl_lie_algebra(code)
+
+    code = Code(code5.frame, code5.qudit_dims, code5.stabilizers)  # not the shared object
+    first = code_lie_algebra(code, counting)
+    assert code_lie_algebra(code, counting) is first and len(calls) == 1
+    assert fl_lie_algebra(code) is not fl_lie_algebra(code)
+    monkeypatch.setattr("holoqec.transversal.fl_lie_algebra", counting)
+    for _ in range(2):  # the probe builds with the module's fl_lie_algebra, here the kept one
+        flatness_probe_transversal(code, flatness_endpoints(), 2, rng=np.random.default_rng(0))
+    assert len(calls) == 1
+    assert code_lie_algebra(code, lambda c: calls.append(c) or first) is first
+    assert len(calls) == 2
+
+    from holoqec.cli import main
+
+    cli_calls = []
+    monkeypatch.setattr("holoqec.cli.fl_lie_algebra", lambda c: cli_calls.append(c) or first)
+    for verb in (["lie-dim"], ["trivial-action", "--samples", "2"]) * 2:
+        assert main(["transversal", *verb, "--out", str(tmp_path / "r.json")]) == 0
+    assert len(cli_calls) == 1
