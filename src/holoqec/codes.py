@@ -10,17 +10,20 @@ Pauli violating that condition for the single-operator set {P}.
 Both scans evaluate Pauli blocks with one batched kernel over the frame's
 support rows.  A block is exactly zero, and never gathered, when the Pauli
 anticommutes with one of the code's stabilizer generators (its syndrome,
-one int64 mask, is not 0) or its X part maps no support row onto the
-support.  The correction condition takes each error as its exact Pauli
-expansion; it pairs only terms of equal syndrome, whose product commutes
-with every generator, and evaluates each distinct product once per run.
-With one unit-coefficient term per error it scores the distinct products
-and reads each pair's f and deviation off them.  The kernel bounds its own
-working set (``_CHUNK_BYTES``) for any number of Paulis; both scans hand it
-runs that start at 512 items and grow with the scan to about
-``_CHUNK_BYTES`` of K x K blocks, the correction condition reads a lazy
-ErrorSet only as far as its runs reach, and it keeps one f value per pair
-passed.  Both run on one thread; ``distance(threads=)`` is accepted and unused.
+one int64 mask read off a 256-entry table per byte of x and of z, is not
+0) or its X part maps no support row onto the support.  Each scan finds
+each item's syndrome once: distance hands the kernel only the Paulis of
+syndrome 0, and the correction condition takes each error as its exact
+Pauli expansion, finds each term's syndrome as it reads the term, pairs
+only terms of equal syndrome, whose product commutes with every generator,
+and evaluates each distinct product once per run.  With one
+unit-coefficient term per error it scores the distinct products and reads
+each pair's f and deviation off them.  The kernel bounds its own working
+set (``_CHUNK_BYTES``) for any number of Paulis; both scans hand it runs
+that start at 2 048 items and grow with the scan to about ``_CHUNK_BYTES``
+of K x K blocks, the correction condition reads a lazy ErrorSet only as
+far as its runs reach, and it keeps one f value per pair passed.  Both run
+on one thread; ``distance(threads=)`` is accepted and unused.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import numpy as np
 
 from .errors import ErrorSet, pauli_bits
 from .frames import Frame, check_dense_size, common_rows
-from .pauli import PauliString, apply_pauli
+from .pauli import _UNITS, PauliString, apply_pauli, pauli_term_table
 
 __all__ = [
     "Code",
@@ -153,19 +156,25 @@ class NotLogicalError(ValueError):
 # Working-set bound of the block kernel on an R-row, K-column frame: its row
 # lookup holds 24 bytes per row for at most _CHUNK_BYTES // (24 R) distinct x
 # at a time, and one step signs _CHUNK_BYTES // (16 R K) copies of the K x R
-# block F^dagger, one per Pauli.  The generator test adds 16 bytes per Pauli
-# and generator: g < R / 4 for every code built here.  A scan's run holds
-# about _CHUNK_BYTES of K x K blocks, 16 K^2 bytes per Pauli or term pair.
+# block F^dagger, one per Pauli.  A scan's run holds about _CHUNK_BYTES of
+# K x K blocks, 16 K^2 bytes per Pauli or term pair.
 _CHUNK_BYTES = 8 * 2**20
 # A scan's first run holds _FIRST_RUN Paulis or term pairs, and each later
 # one as many as were scanned before it, up to the run budget: a witness met
-# early costs little, and a long scan makes few calls.
-_FIRST_RUN = 512
+# early costs little, and a long scan makes few calls.  A run costs about
+# 0.2 ms before its first item, an item of syndrome 0 a few microseconds:
+# over the benchmark's scan questions 2 048 took a tenth less time than 512,
+# and 4 096 a little less again but more on the slowest question.
+_FIRST_RUN = 2048
 # A Pauli's syndrome is one int64 mask, a bit per stabilizer generator
 _SYNDROME_BITS = 64
-# i^k for k = 0..3, and (-1)^k for k = 0, 1
-_UNITS = np.array([1, 1j, -1, -1j])
+# (-1)^k for k = 0, 1
 _SIGNS = np.array([1.0, -1.0])
+
+
+def _check_tol(tol: float) -> None:
+    if not 0.0 < tol < math.inf:  # a NaN fails too
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
 
 
 def _run_size(done: int, k: int) -> int:
@@ -180,7 +189,7 @@ class _PauliBlocks:
     rows m in the support contribute.  F[m^x] is found by binary search of
     m^x in the sorted support rows; a row off the support points at one
     padded zero row.  The padded block, the contiguous F^dagger and the
-    code's generators are fixed per frame;
+    generators' syndrome tables are fixed per frame;
     ``Code._blocks`` builds them once per code, and checks that each
     generator S has S F = lambda F exactly for a unit lambda, read off one
     stored entry, or raises ValueError naming S.  More generators than the
@@ -188,10 +197,14 @@ class _PauliBlocks:
 
     A Pauli with an odd symplectic product popcount((x & gz) ^ (z & gx))
     with some generator has B = lambda^-1 F^dagger P S F = -B = 0; those
-    parities are the bits of its ``syndromes`` mask, and it is dropped
-    before any other work when the mask is not 0.  When X^x maps no
-    support row onto the support, every block with that x is exactly zero
-    and nothing is gathered; for a toric frame that is most x.
+    parities are the bits of its ``syndromes`` mask.  The mask is linear in
+    the bits of x and z, so it is the XOR of one 256-entry table lookup per
+    byte of x and of z (at most 2 x 8 tables, built with the kernel).
+    ``blocks`` drops a Pauli whose mask is not 0 before any other work;
+    ``live_blocks`` takes Paulis whose masks the caller has found 0, as the
+    scans do, each Pauli or term tested once.  When X^x maps no support row
+    onto the support, every block with that x is exactly zero and nothing
+    is gathered; for a toric frame that is most x.
 
     The other Paulis are taken in order of x: their distinct x are looked
     up a group at a time (``_CHUNK_BYTES`` of lookup), and each group's live
@@ -199,7 +212,7 @@ class _PauliBlocks:
     (-1)^{|m&z|} (-1)^{|x&z|} into its own copy of F^dagger, which is exact,
     and multiplies each run of equal x by that x's rows, gathered once: a
     narrow frame spans many x in one step, a wide one gathers once per x.
-    ``blocks`` takes any number of Paulis and bounds its own working set.
+    Both take any number of Paulis and bound their own working set.
     x and z are held as int64, so n > 62 is refused; the correction
     condition's product keys cap n at 32.
     """
@@ -223,23 +236,33 @@ class _PauliBlocks:
                 fixed = u is not None and np.array_equal(image.vals, u * frame.vals)
             if not fixed:
                 raise ValueError(f"{s!r} does not fix the code's frame up to a unit")
-        self.gx = np.array([s.x_bits for s in stabilizers], dtype=np.int64)
-        self.gz = np.array([s.z_bits for s in stabilizers], dtype=np.int64)
-        self.bit = np.left_shift(1, np.arange(self.gx.size, dtype=np.int64))
+        gx = np.array([s.x_bits for s in stabilizers], dtype=np.int64)
+        gz = np.array([s.z_bits for s in stabilizers], dtype=np.int64)
+        bit = np.left_shift(1, np.arange(gx.size, dtype=np.int64))
+        # tables[0, b, v] and tables[1, b, v]: the masks of X^x and of Z^z, x = z = v << 8b
+        v = np.arange(256, dtype=np.int64) << 8 * np.arange(-(-self.n // 8))[:, None]
+        self.tables = np.stack([(np.bitwise_count(v[..., None] & g) & 1) @ bit for g in (gz, gx)])
         self.rows = frame.rows
         self.padded = np.vstack([frame.vals, np.zeros((1, frame.K), dtype=complex)])
         self.left = np.ascontiguousarray(frame.vals.conj().T)
 
     def blocks(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
         """The (c, K, K) blocks of X^x[i] Z^z[i] for int64 arrays x, z of length c."""
+        k = self.left.shape[0]
+        out = np.zeros((x.size, k, k), dtype=complex)
+        live = np.flatnonzero(self.syndromes(x, z) == 0)
+        out[live] = self.live_blocks(x[live], z[live])
+        return out
+
+    def live_blocks(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """``blocks`` of Paulis whose syndromes are 0, which is not tested again."""
         k, r = self.left.shape
         chunk = max(1, _CHUNK_BYTES // (16 * r * k))
         group = max(1, _CHUNK_BYTES // (24 * r))
         out = np.zeros((x.size, k, k), dtype=complex)
-        keep = np.flatnonzero(self.syndromes(x, z) == 0)
-        xs, inverse = np.unique(x[keep], return_inverse=True)
-        by_x = np.argsort(inverse, kind="stable")
-        keep, inverse = keep[by_x], inverse[by_x]
+        xs, inverse = np.unique(x, return_inverse=True)
+        keep = np.argsort(inverse, kind="stable")
+        inverse = inverse[keep]
         ends = np.searchsorted(inverse, np.arange(0, xs.size + group, group))
         for g, (lo, hi) in enumerate(zip(ends[:-1], ends[1:])):
             want = self.rows ^ xs[g * group : (g + 1) * group, None]
@@ -256,9 +279,11 @@ class _PauliBlocks:
     def syndromes(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
         """One int64 mask per Pauli X^x[i] Z^z[i]: bit g is the parity of its symplectic
         product with generator g, so the product of two Paulis has the XOR of their masks."""
-        odd = x[:, None] & self.gz
-        odd ^= z[:, None] & self.gx
-        return (np.bitwise_count(odd) & 1) @ self.bit
+        out = np.zeros(x.size, dtype=np.int64)
+        for b, (tx, tz) in enumerate(self.tables.transpose(1, 0, 2)):
+            out ^= tx[x >> 8 * b & 255]
+            out ^= tz[z >> 8 * b & 255]
+        return out
 
     def _step(self, x: np.ndarray, z: np.ndarray, at: np.ndarray, u: np.ndarray) -> np.ndarray:
         """The blocks of X^x[i] Z^z[i], sorted by x, whose x gathers the rows at[u[i]]."""
@@ -282,44 +307,50 @@ def _scalar_part(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return f, np.abs(entries).max(axis=0)
 
 
-def _pauli_terms(errors):
+def _pauli_terms(errors, kernel: _PauliBlocks):
     """(ends, read, units): rows ends[a]..ends[a+1]-1 of the term table hold the
-    pauli_terms c X^x Z^z of error a, ``read(stop)`` gives (x, z, c) of at least
-    its first ``stop`` rows, and ``units`` says that every c is 1, i, -1 or -i.
+    pauli_terms c X^x Z^z of error a, ``read(stop)`` gives (x, z, c, s) of at
+    least its first ``stop`` rows, s each term's ``kernel.syndromes`` mask, and
+    ``units`` says that every c is 1, i, -1 or -i.
 
     An ErrorSet is one term i^phase X^x Z^z per error, read through
-    ``ErrorSet.prefix``, so a lazy set is expanded only as far as the scan
-    reads.  Any other iterable is taken as PauliStrings and LocalOperators,
-    each expanded by its ``pauli_terms``.
+    ``ErrorSet.prefix``, so a lazy set is expanded, and its masks found,
+    only as far as the scan reads, each term's once.  Any other iterable is
+    taken as PauliStrings and LocalOperators, expanded by ``pauli_term_table``.
     """
     if isinstance(errors, ErrorSet):
+        syndromes, known = np.empty(len(errors), dtype=np.int64), 0
 
         def read(stop):
+            nonlocal known
             x, z, phase = errors.prefix(stop)
-            return x, z, _UNITS[phase]
+            if known < stop:
+                syndromes[known:stop] = kernel.syndromes(x[known:], z[known:])
+                known = stop
+            return x, z, _UNITS[phase], syndromes
 
         return np.arange(len(errors) + 1), read, True
-    terms = [e.pauli_terms() for e in errors]
-    x, z, c = (np.concatenate([t[i] for t in terms]) for i in range(3))
-    ends = np.cumsum([0] + [t[0].size for t in terms])
-    return ends, lambda stop: (x, z, c), bool(np.isin(c, _UNITS).all())
+    x, z, c, ends = pauli_term_table(errors)
+    terms = x, z, c, kernel.syndromes(x, z)
+    return ends, lambda stop: terms, bool(np.isin(c, _UNITS).all())
 
 
 def _pair_scores(kernel: _PauliBlocks, ta, tb, ea, eb, units: bool):
     """(f, deviation) of every pair of a run's errors a and b, a-major.
 
-    ``ta`` and ``tb`` are the (x, z, c) terms of the run's errors a and of
-    its errors b, and ``ea`` and ``eb`` each error's first term in them,
-    then their count.  Only term pairs with equal syndromes are keyed,
+    ``ta`` and ``tb`` are the (x, z, c, syndrome) terms of the run's errors
+    a and of its errors b, and ``ea`` and ``eb`` each error's first term in
+    them, then their count.  Only term pairs with equal syndromes are keyed,
     deduplicated and evaluated, once per distinct product: the product of
     any other pair anticommutes with a generator, so its block is 0.
     """
-    (xa, za, ca), (xb, zb, cb) = ta, tb
-    ia, ib = np.nonzero(kernel.syndromes(xa, za)[:, None] == kernel.syndromes(xb, zb))
+    (xa, za, ca, sa), (xb, zb, cb, sb) = ta, tb
+    ia, ib = np.nonzero(sa[:, None] == sb)
     n, k = kernel.n, kernel.left.shape[0]
     keys = (xa[ia] ^ xb[ib]).astype(np.uint64) << n | (za[ia] ^ zb[ib]).astype(np.uint64)
     keys, inverse = np.unique(keys, return_inverse=True)
-    blocks = kernel.blocks((keys >> n).astype(np.int64), (keys & ((1 << n) - 1)).astype(np.int64))
+    x, z = (keys >> n).astype(np.int64), (keys & ((1 << n) - 1)).astype(np.int64)
+    blocks = kernel.live_blocks(x, z)
     # (c_s X^x_s Z^z_s)^dagger c_t X^x_t Z^z_t is conj(c_s) c_t
     # (-1)^{|x_s & z_s| + |z_s & x_t|} X^{x_s ^ x_t} Z^{z_s ^ z_t}
     left = ca.conj() * _SIGNS[np.bitwise_count(xa & za) & 1]
@@ -366,22 +397,24 @@ def correction_condition(code: Code, errors, tol: float = 1e-9) -> CorrectionRep
     sum each pair's term blocks before scoring them.
 
     Pairs are scanned in runs of consecutive a * m + b holding at most
-    ``_run_size`` term pairs: 512 first, then as many as were scanned,
+    ``_run_size`` term pairs: 2 048 first, then as many as were scanned,
     up to about ``_CHUNK_BYTES`` of K x K blocks.  A run is as many whole
     rows as fit, or a row too wide for that in chunks of columns, and an
     ErrorSet is read (and a lazy one expanded) only up to the last error
-    of the run.
+    of the run.  Each term's syndrome is found once per scan, as it is read.
 
     Memory grows with the scan by 16 bytes per pair passed.  Once that
     would pass the dense bound, DenseSizeError is raised; a set that fails
     earlier still returns its witness.  The m x m ``f_matrix`` is stacked
-    only when every pair has passed.
+    only when every pair has passed.  A ``tol`` that is not finite and
+    positive is refused.
     """
-    ends, read, units = _pauli_terms(errors)
-    m = ends.size - 1
+    _check_tol(tol)
     kernel, k = code._blocks, code.K
     if 2 * kernel.n > 64:
         raise ValueError(f"product keys are uint64; n = {kernel.n} qubits is too many")
+    ends, read, units = _pauli_terms(errors, kernel)
+    m = ends.size - 1
 
     f_runs = [np.empty(0, dtype=complex)]
     a = b = done = 0
@@ -429,9 +462,13 @@ def distance(
     exhausted.  Each weight class goes through the batched block kernel in
     enumeration-order runs of ``_run_size``, and the witness is the first
     violation in that order.  The phase of a Pauli does not change its
-    deviation, so the kernel evaluates X^x Z^z.  ``threads`` is accepted and unused: the scan
-    runs on one thread, which was faster than a thread pool on two cores.
+    deviation, so the kernel evaluates X^x Z^z, and only for the Paulis of
+    syndrome 0: any other has block 0, deviation 0 < tol, and is never the
+    witness.  A ``tol`` that is not finite and positive is refused.
+    ``threads`` is accepted and unused: the scan runs on one thread, which
+    was faster than a thread pool on two cores.
     """
+    _check_tol(tol)
     if not code.is_qubit_code:
         raise ValueError("distance enumeration supports qubit codes only")
     if not 1 <= max_weight <= code.n:
@@ -439,7 +476,10 @@ def distance(
     kernel = code._blocks
     for w in range(1, max_weight + 1):
         for x, z in _weight_class(code.n, w, code.K):
-            hit = np.flatnonzero(_scalar_part(kernel.blocks(x, z))[1] >= tol)
+            live = np.flatnonzero(kernel.syndromes(x, z) == 0)
+            if not live.size:
+                continue
+            hit = live[_scalar_part(kernel.live_blocks(x[live], z[live]))[1] >= tol]
             if hit.size:
                 xw, zw = int(x[hit[0]]), int(z[hit[0]])
                 return DistanceResult(w, w, PauliString(code.n, xw, zw, (xw & zw).bit_count()))

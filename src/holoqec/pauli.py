@@ -34,6 +34,7 @@ __all__ = [
     "beta",
     "interp_matrix",
     "LocalOperator",
+    "pauli_term_table",
     "SIGMA",
 ]
 
@@ -46,6 +47,8 @@ SIGMA = {"I": _I2, "X": _X, "Y": _Y, "Z": _Z}
 # the site operators X^x Z^z indexed by q = x + 2z, and their (x, z) bits
 _SITE_PAULIS = np.array([_I2, _X, _Z, _X @ _Z])
 _Q_BITS = np.array([[0, 1, 0, 1], [0, 0, 1, 1]], dtype=np.int64)
+# i^k for k = 0..3, equal bit for bit to PauliString.phase
+_UNITS = np.array([1, 1j, -1, -1j])
 
 # letter -> (x bit, z bit, phase exponent of i)
 _LETTER_BITS = {"I": (0, 0, 0), "X": (1, 0, 0), "Z": (0, 1, 0), "Y": (1, 1, 1)}
@@ -284,20 +287,50 @@ class LocalOperator:
         return LocalOperator(self.n, self.sites, mats)
 
     def pauli_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(x_bits, z_bits, c): this operator is sum_t c[t] X^x[t] Z^z[t], exactly.
+        """(x_bits, z_bits, c): this operator is sum_t c[t] X^x[t] Z^z[t], exactly;
+        its rows of ``pauli_term_table``."""
+        return pauli_term_table([self])[:3]
 
-        Site factor M has the coefficient tr(P^dagger M)/2 on P = X^x Z^z, and the
-        products run first site slowest.  Exact zeros are dropped, with no
-        tolerance; the zero operator keeps one term.
-        """
-        x = z = np.zeros(1, dtype=np.int64)
-        c = np.ones(1, dtype=complex)
-        for j, m in zip(self.sites, self.factors):
-            x = (x[:, None] | (_Q_BITS[0] << j)).ravel()
-            z = (z[:, None] | (_Q_BITS[1] << j)).ravel()
-            c = (c[:, None] * (np.einsum("qij,ij->q", _SITE_PAULIS.conj(), m) / 2)).ravel()
-        keep = np.flatnonzero(c) if c.any() else [0]
-        return x[keep], z[keep], c[keep]
+
+def pauli_term_table(ops) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(x, z, c, ends): rows ends[a]..ends[a+1]-1 hold the exact Pauli expansion
+    sum_t c[t] X^x[t] Z^z[t] of ops[a], a PauliString or a LocalOperator.
+
+    The PauliStrings go in as one bits array, one term each.  LocalOperators
+    are expanded a group of equal site count at a time: site factor M has the
+    coefficient tr(P^dagger M)/2 on P = X^x Z^z (one ``einsum`` per group),
+    and the products run first site slowest.  Exact zeros are dropped, with
+    no tolerance; the zero operator keeps one term.
+    """
+    ops = list(ops)
+    groups: dict[int | None, list[int]] = {}
+    for a, op in enumerate(ops):
+        groups.setdefault(None if isinstance(op, PauliString) else len(op.sites), []).append(a)
+    parts = [(np.zeros(0, dtype=np.int64),) * 3 + (np.zeros(0, dtype=complex),)]
+    for w, idx in groups.items():
+        if w is None:
+            bits = np.array(
+                [(ops[a].x_bits, ops[a].z_bits, ops[a].phase_exp) for a in idx], dtype=np.int64
+            )
+            x, z, c = bits[:, :1], bits[:, 1:2], _UNITS[bits[:, 2:]]
+            keep = np.ones(c.shape, dtype=bool)
+        else:
+            sites = np.array([ops[a].sites for a in idx], dtype=np.int64).reshape(len(idx), w)
+            factors = np.array([ops[a].factors for a in idx], dtype=complex)
+            factors = factors.reshape(len(idx), w, 2, 2)
+            coef = np.einsum("qij,gsij->gsq", _SITE_PAULIS.conj(), factors) / 2
+            x = z = np.zeros((len(idx), 1), dtype=np.int64)
+            c = np.ones((len(idx), 1), dtype=complex)
+            for j in range(w):
+                x = (x[:, :, None] | _Q_BITS[0] << sites[:, j, None, None]).reshape(len(idx), -1)
+                z = (z[:, :, None] | _Q_BITS[1] << sites[:, j, None, None]).reshape(len(idx), -1)
+                c = (c[:, :, None] * coef[:, j, None, :]).reshape(len(idx), -1)
+            keep = c != 0
+            keep[:, 0] |= ~keep.any(axis=1)
+        parts.append((np.repeat(idx, keep.sum(axis=1)), x[keep], z[keep], c[keep]))
+    owner, x, z, c = (np.concatenate(p) for p in zip(*parts))
+    order = np.argsort(owner, kind="stable")  # each error's rows, in their order
+    return x[order], z[order], c[order], np.searchsorted(owner[order], np.arange(len(ops) + 1))
 
 
 def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:

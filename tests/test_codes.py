@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import holoqec.codes
 from holoqec import (
     Code,
     Frame,
@@ -128,6 +129,55 @@ def test_distance_exhausted_reports_lower_bound(code5):
     res = distance(code5, 2)
     assert res.delta is None
     assert res.lower_bound == 3
+
+
+@cache
+def _toric4():
+    return tt.build_code(tt.TorusLattice(4), tt.DefectConfig((), ()), separation=0)
+
+
+def _pinned_code(name, request):
+    if name == "toric4":
+        return _toric4().code
+    if name in ("steane", "4-2-2"):
+        labels, seeds = {
+            "steane": (STEANE, (0, 0b1111111)),
+            "4-2-2": (("XXXX", "ZZZZ"), (0, 0b0011, 0b0101, 0b0110)),
+        }[name]
+        return stabilizer_code([PauliString.from_label(s) for s in labels], seeds)
+    code = request.getfixturevalue(name)
+    return getattr(code, "code", code)
+
+
+@pytest.mark.parametrize(
+    "name, w, delta, bound, witness",
+    [
+        ("code5", 1, None, 2, None),
+        ("code5", 2, None, 3, None),
+        ("code5", 3, 3, 3, "XYXII"),
+        ("toric2", 3, 2, 2, "ZZ" + "I" * 6),
+        ("toric3", 3, 3, 3, "ZZZ" + "I" * 15),
+        ("toric4", 4, 4, 4, "ZZZZ" + "I" * 28),
+        ("steane", 3, 3, 3, "XXXIIII"),
+        ("4-2-2", 2, 2, 2, "XXII"),
+    ],
+)
+def test_distance_answers_are_pinned(name, w, delta, bound, witness, request):
+    """delta, lower bound and witness as found when every Pauli, of any syndrome, was scored."""
+    res = distance(_pinned_code(name, request), w)
+    assert (res.delta, res.lower_bound) == (delta, bound)
+    assert repr(res.witness) == (repr(None) if witness is None else f"PauliString('+{witness}')")
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf"), -float("inf")])
+def test_scans_refuse_a_tol_that_is_not_finite_and_positive(tol, code5):
+    """tol = 0 made XIIII a distance witness, NaN hid every witness, -1 failed pair (0, 0)."""
+    for scan in (
+        lambda: distance(code5, 3, tol=tol),
+        lambda: correction_condition(code5, squdit_errors(5, 2), tol=tol),
+    ):
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            scan()
 
 
 def test_logical_action_cases(code5):
@@ -639,7 +689,7 @@ def test_geolocal_3_1_generation_and_scan_build_no_pauli_string(toric3, monkeypa
 def test_runs_hold_at_most_the_kernel_width(width, code5, rng, monkeypatch):
     """Each run makes one kernel call, and every pair is scored once.
 
-    A run holds at most min(width, max(512, term pairs already scanned))
+    A run holds at most min(width, max(_FIRST_RUN, term pairs already scanned))
     term pairs, and one more row, or column of its row, would not fit.  The
     mixed set has 1 to 4 terms per error, so runs of whole rows, row chunks
     and single pairs all occur; the answer does not depend on them.  A
@@ -652,7 +702,7 @@ def test_runs_hold_at_most_the_kernel_width(width, code5, rng, monkeypatch):
     terms = np.cumsum([0] + [len(e.pauli_terms()[0]) for e in errors])
     m = len(errors)
     products, pairs = [], []
-    kernel, score = _PauliBlocks.blocks, _pair_scores
+    kernel, score = _PauliBlocks.live_blocks, _pair_scores
 
     def counting_kernel(self, x, z):
         products.append(x.size)
@@ -664,7 +714,7 @@ def test_runs_hold_at_most_the_kernel_width(width, code5, rng, monkeypatch):
         pairs.append(f.size)
         return f, dev
 
-    monkeypatch.setattr(_PauliBlocks, "blocks", counting_kernel)
+    monkeypatch.setattr(_PauliBlocks, "live_blocks", counting_kernel)
     monkeypatch.setattr("holoqec.codes._pair_scores", counting_score)
     monkeypatch.setattr("holoqec.codes._CHUNK_BYTES", 16 * 2**2 * width)  # K = 2
     rep = correction_condition(code5, errors, tol=1e-9)
@@ -677,7 +727,7 @@ def test_runs_hold_at_most_the_kernel_width(width, code5, rng, monkeypatch):
         assert a1 == a or whole
         rows = terms[a1 + 1] - terms[a]
         cols = terms[b1 + 1] - terms[b]
-        size = min(width, max(512, done))
+        size = min(width, max(holoqec.codes._FIRST_RUN, done))
         assert distinct <= rows * cols <= size
         if whole and a1 + 1 < m:  # the next row would not fit
             assert (terms[a1 + 2] - terms[a]) * terms[m] > size
@@ -886,3 +936,34 @@ def test_syndrome_filtered_scan_equals_the_brute_scan(data):
         assert rep.witness == witness and rep.max_deviation == dev
         assert (rep.f_matrix is None) == (f is None)
         assert f is None or np.array_equal(rep.f_matrix, f)
+
+
+def syndrome_reference(stabilizers, x, z):
+    """The syndrome mask of X^x Z^z, generator by generator: bit g is the parity of
+    popcount((x & gz) ^ (z & gx))."""
+    mask = sum(
+        ((x & g.z_bits) ^ (z & g.x_bits)).bit_count() % 2 << i for i, g in enumerate(stabilizers)
+    )
+    return int(np.array(mask, dtype=np.uint64).view(np.int64))
+
+
+@pytest.mark.parametrize("fixture", ["random", "toric3", "toric4"])
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_table_syndromes_equal_the_popcount_reference(fixture, toric3, data):
+    """The byte-table masks equal the per-generator popcounts for every lone X and Z,
+    the top qubit of each, and random Paulis; a code with no generators gives 0."""
+    if fixture == "random":
+        code = _random_stabilizer_code(data)
+    else:
+        code = (toric3 if fixture == "toric3" else _toric4()).code
+    n = code.n
+    word = st.integers(0, 2**n - 1)
+    paulis = [(1 << q, 0) for q in range(n)] + [(0, 1 << q) for q in range(n)]
+    paulis += [(1 << n - 1, 1 << n - 1), *data.draw(st.lists(st.tuples(word, word), max_size=40))]
+    x, z = (np.array(v, dtype=np.int64) for v in zip(*paulis))
+    got = code._blocks.syndromes(x, z)
+    assert got.dtype == np.int64
+    assert got.tolist() == [syndrome_reference(code.stabilizers, *p) for p in paulis]
+    if fixture == "random":
+        assert not code_from_json(code_to_json(code))._blocks.syndromes(x, z).any()

@@ -382,7 +382,7 @@ def test_prefixes_and_items_equal_the_whole_arrays():
 
 
 def test_fail_fast_scan_expands_about_what_it_reads(toric3, monkeypatch):
-    """L = 3 geolocal(3,1) fails at (0, 1432) in the scan's third run, which reads
+    """L = 3 geolocal(3,1) fails at (0, 1432) in the scan's first run, which reads
     errors 0 to 2047 of 23 464: at most twice that many are expanded."""
     made = _counting_pauli_bits(monkeypatch)
     es = geolocal_errors(GeoLattice.toric_edges(3), 3, 1)

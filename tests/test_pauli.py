@@ -15,6 +15,7 @@ from holoqec.pauli import (
     beta,
     interp_matrix,
     pauli_mul,
+    pauli_term_table,
     random_unitary,
 )
 
@@ -200,6 +201,51 @@ def test_local_operator_matches_dense(rng):
         assert x.size == 4**w
         summed = sum(c[i] * PauliString(n, int(x[i]), int(z[i])).to_dense() for i in range(x.size))
         assert np.max(np.abs(summed - local_dense(op))) < 1e-15
+
+
+def pauli_terms_reference(op):
+    """(x, z, c) of one operator: a PauliString is its one term; a LocalOperator's
+    site factor M has tr(P^dagger M)/2 on each P = X^x Z^z, products first site
+    slowest, exact zeros dropped and the zero operator kept as one term."""
+    if isinstance(op, PauliString):
+        return np.array([op.x_bits]), np.array([op.z_bits]), np.array([op.phase])
+    x = z = np.zeros(1, dtype=np.int64)
+    c = np.ones(1, dtype=complex)
+    for j, m in zip(op.sites, op.factors):
+        x = (x[:, None] | np.array([0, 1, 0, 1]) << j).ravel()
+        z = (z[:, None] | np.array([0, 0, 1, 1]) << j).ravel()
+        c = (c[:, None] * (np.einsum("qij,ij->q", SITE_PAULIS.conj(), m) / 2)).ravel()
+    keep = np.flatnonzero(c) if c.any() else [0]
+    return x[keep], z[keep], c[keep]
+
+
+# X^x Z^z at q = x + 2z
+SITE_PAULIS = np.array([np.eye(2), SIGMA["X"], SIGMA["Z"], SIGMA["X"] @ SIGMA["Z"]])
+
+
+def test_pauli_term_table_equals_the_per_operator_expansion(rng):
+    """Mixed lists of PauliStrings and LocalOperators of 1 to 3 sites, with unitary,
+    Pauli, projector and zero factors, expand bit for bit as one operator at a time."""
+    factors = [SIGMA["Y"], 1j * SIGMA["Z"], np.zeros((2, 2)), *np.eye(4).reshape(4, 2, 2)]
+    assert [t.size for t in pauli_term_table([])] == [0, 0, 0, 1]
+    for _ in range(40):
+        n = int(rng.integers(3, 7))
+        ops = [random_pauli(rng, n) for _ in range(rng.integers(0, 4))]
+        for _ in range(rng.integers(0, 8)):
+            sites = tuple(rng.choice(n, int(rng.integers(1, 4)), replace=False).tolist())
+            mats = [
+                random_unitary(2, rng) if rng.random() < 0.6 else factors[rng.integers(len(factors))]
+                for _ in sites
+            ]
+            ops.append(LocalOperator(n, sites, tuple(mats)))
+        rng.shuffle(ops)
+        x, z, c, ends = pauli_term_table(ops)
+        want = [pauli_terms_reference(op) for op in ops]
+        assert ends.tolist() == np.cumsum([0] + [t[0].size for t in want]).tolist()
+        for got, i in ((x, 0), (z, 1), (c, 2)):
+            assert got.tobytes() == np.concatenate([t[i] for t in want]).astype(got.dtype).tobytes()
+        for op, t in zip(ops, want):
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(op.pauli_terms(), t))
 
 
 def test_apply_on_row_frames_matches_index_formula(rng):
