@@ -9,10 +9,13 @@ primal edge, which is the qubit an X-string step acts on.  Dual edge
 vertices, so ``edge_endpoints`` and ``connecting_edge`` serve both lattices;
 only the crossed qubit (``dual_crossing_qubit``) differs.
 
-Primal defects live on the primal lattice (vertices, edge interiors, face
-interiors); dual defects live on the dual lattice, with positions expressed
-in dual coordinates (a dual vertex (x, y) is the face (x, y) of the primal
-lattice).
+Primal defects live on the primal lattice; dual defects live on the dual
+lattice, with positions expressed in dual coordinates (a dual vertex (x, y)
+is the face (x, y) of the primal lattice).  One ``DefectConfig`` holds every
+position: a vertex ``(x, y)`` of the defect's own lattice, an ``EdgePos`` in
+an edge interior, or a ``FacePos`` in a face interior.  The hard-core
+distance is read off one metric, with primal vertices at even and dual
+vertices at odd points of a doubled cycle (``hardcore_check``).
 """
 
 from __future__ import annotations
@@ -24,11 +27,9 @@ from typing import NamedTuple, Union
 __all__ = [
     "Edge",
     "TorusLattice",
-    "VertexPos",
     "EdgePos",
     "FacePos",
     "DefectConfig",
-    "ContinuousDefectConfig",
     "HardcoreReport",
     "hardcore_check",
     "DEFAULT_SEPARATION",
@@ -152,10 +153,6 @@ class TorusLattice:
     def vertex_distance(self, a: Vertex, b: Vertex) -> int:
         return self.coord_distance(a[0], b[0]) + self.coord_distance(a[1], b[1])
 
-    def vertex_face_distance(self, v: Vertex, f: Face) -> int:
-        """Distance from a vertex to the closest corner of a face."""
-        return min(self.vertex_distance(v, c) for c in self.face_corners(f))
-
 
 def wrapped_step(L: int, a: int, b: int) -> tuple[int, int]:
     """(step sign, step count) of the shortest move a -> b on a cycle of L; a tie steps +."""
@@ -164,14 +161,6 @@ def wrapped_step(L: int, a: int, b: int) -> tuple[int, int]:
 
 
 # -- defect positions ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class VertexPos:
-    """On a vertex of the defect's own lattice (a face of the primal lattice,
-    in primal coordinates, when the defect is dual)."""
-
-    v: Vertex
 
 
 @dataclass(frozen=True)
@@ -195,41 +184,16 @@ class FacePos:
             raise ValueError("face coordinates must lie in the unit square")
 
 
-Position = Union[VertexPos, EdgePos, FacePos]
-
-
-def _adjacent_vertices(lat: TorusLattice, pos: Position) -> list[Vertex]:
-    """Vertices of the defect's own lattice adjacent to its position."""
-    if isinstance(pos, VertexPos):
-        return [lat.wrap_vertex(pos.v)]
-    if isinstance(pos, EdgePos):
-        a, b = lat.edge_endpoints(pos.edge)
-        return [a, b]
-    x, y = pos.face
-    return [lat.wrap_vertex((x + dx, y + dy)) for dx in (0, 1) for dy in (0, 1)]
-
-
-class _Sites:
-    """Defect lists selected by kind: ``primal`` or ``dual``."""
-
-    def sites(self, kind: str) -> tuple:
-        if kind not in ("primal", "dual"):
-            raise ValueError(f"defect kind must be 'primal' or 'dual', not {kind!r}")
-        return getattr(self, kind)
-
-    def move(self, kind: str, i: int, pos):
-        """A copy with defect ``i`` of ``kind`` at ``pos``."""
-        new = list(self.sites(kind))
-        new[i] = pos
-        return replace(self, **{kind: tuple(new)})
+# a vertex (x, y) of the defect's own lattice, an edge interior or a face interior
+Position = Union[Vertex, EdgePos, FacePos]
 
 
 @dataclass(frozen=True)
-class DefectConfig(_Sites):
-    """Discrete defect locations: primal on vertices, dual on faces."""
+class DefectConfig:
+    """Defect positions, primal and dual, each on the defect's own lattice."""
 
-    primal: tuple[Vertex, ...]
-    dual: tuple[Face, ...]
+    primal: tuple[Position, ...]
+    dual: tuple[Position, ...]
 
     def __post_init__(self):
         if len(self.primal) % 2 or len(self.dual) % 2:
@@ -247,19 +211,17 @@ class DefectConfig(_Sites):
     def n_dual(self) -> int:
         return len(self.dual)
 
-    def to_continuous(self) -> "ContinuousDefectConfig":
-        return ContinuousDefectConfig(
-            tuple(VertexPos(v) for v in self.primal),
-            tuple(VertexPos(f) for f in self.dual),
-        )
+    def sites(self, kind: str) -> tuple[Position, ...]:
+        """The positions of one kind: ``primal`` or ``dual``."""
+        if kind not in ("primal", "dual"):
+            raise ValueError(f"defect kind must be 'primal' or 'dual', not {kind!r}")
+        return getattr(self, kind)
 
-
-@dataclass(frozen=True)
-class ContinuousDefectConfig(_Sites):
-    """Defects anywhere on the torus: vertex, edge interior, or face interior."""
-
-    primal: tuple[Position, ...]
-    dual: tuple[Position, ...]
+    def move(self, kind: str, i: int, pos: Position) -> "DefectConfig":
+        """A copy with defect ``i`` of ``kind`` at ``pos``."""
+        new = list(self.sites(kind))
+        new[i] = pos
+        return replace(self, **{kind: tuple(new)})
 
 
 @dataclass(frozen=True)
@@ -269,47 +231,51 @@ class HardcoreReport:
     min_distance: int | None
 
 
-def _typed_distance(
-    lat: TorusLattice, kind_a: str, va: Vertex, kind_b: str, vb: Vertex
-) -> int:
-    """Distance between lattice vertices of possibly different lattices.
+def _doubled_axes(pos: Position, offset: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """A position's adjacent vertices as one doubled-coordinate set per axis.
 
-    Dual vertices are faces; a primal-to-dual distance is the distance from
-    the vertex to the closest corner of the face.
+    Their product is the defect itself, the ends of its edge, or the corners
+    of its face; ``offset`` is 0 on the primal lattice and 1 on the dual.
     """
-    if kind_a == kind_b:
-        return lat.vertex_distance(va, vb)
-    if kind_a == "primal":
-        return lat.vertex_face_distance(va, vb)
-    return lat.vertex_face_distance(vb, va)
+    if isinstance(pos, EdgePos):
+        x, y, o = pos.edge
+        wide_x, wide_y = o == "h", o == "v"
+    elif isinstance(pos, FacePos):
+        (x, y), wide_x, wide_y = pos.face, True, True
+    else:
+        (x, y), wide_x, wide_y = pos, False, False
+    x, y = 2 * x + offset, 2 * y + offset
+    return ((x, x + 2) if wide_x else (x,)), ((y, y + 2) if wide_y else (y,))
 
 
-def hardcore_check(
-    lat: TorusLattice,
-    cfg: DefectConfig | ContinuousDefectConfig,
-    s: int,
-) -> HardcoreReport:
+def hardcore_check(lat: TorusLattice, cfg: DefectConfig, s: int) -> HardcoreReport:
     """Pairwise minimum-separation test with torus wraparound.
 
-    Each defect contributes its set of adjacent lattice vertices (itself, the
-    ends of its edge, or the corners of its face); every cross-pair of those
-    vertices must keep lattice distance >= s.
+    A pair's distance is the least lattice distance between their adjacent
+    vertices, a primal vertex measured to the closest corner of a dual one
+    (a face).  On the cycle of length 2L a primal vertex x sits at 2x and a
+    dual vertex at 2x + 1.  The distance is then half the sum, over both
+    axes, of the least cyclic gap between the pair's doubled coordinates,
+    less 1 when one defect is primal and the other dual.  Every pair must
+    keep it >= s; the report names the first closest pair, primal before
+    dual, in index order.
     """
     if s < 0:
         raise ValueError("separation must be non-negative")
-    if isinstance(cfg, DefectConfig):
-        cfg = cfg.to_continuous()
-    tagged: list[tuple[str, str, list[Vertex]]] = []
-    for i, p in enumerate(cfg.primal):
-        tagged.append(("primal", f"primal[{i}]", _adjacent_vertices(lat, p)))
-    for i, p in enumerate(cfg.dual):
-        tagged.append(("dual", f"dual[{i}]", _adjacent_vertices(lat, p)))
+    L2 = 2 * lat.L
+    tagged = [
+        (f"{kind}[{i}]", offset, _doubled_axes(p, offset))
+        for offset, kind in enumerate(("primal", "dual"))
+        for i, p in enumerate(cfg.sites(kind))
+    ]
 
     worst: tuple[int, tuple[str, str]] | None = None
-    for (ka, na, va), (kb, nb, vb) in itertools.combinations(tagged, 2):
-        d = min(
-            _typed_distance(lat, ka, a, kb, b) for a in va for b in vb
+    for (na, oa, axes_a), (nb, ob, axes_b) in itertools.combinations(tagged, 2):
+        gaps = sum(
+            min(min((a - b) % L2, (b - a) % L2) for a in ca for b in cb)
+            for ca, cb in zip(axes_a, axes_b)
         )
+        d = gaps // 2 - (oa != ob)
         if worst is None or d < worst[0]:
             worst = (d, (na, nb))
     if worst is None:

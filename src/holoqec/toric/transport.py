@@ -35,14 +35,7 @@ from .interp import (
     face_corner_coords,
     slide_frame,
 )
-from .lattice import (
-    DefectConfig,
-    Edge,
-    EdgePos,
-    FacePos,
-    VertexPos,
-    hardcore_check,
-)
+from .lattice import DefectConfig, Edge, EdgePos, FacePos, hardcore_check
 from .strings import HOP, Step, StringEvolution, _classify_step, step_pauli
 
 __all__ = [
@@ -105,21 +98,22 @@ class _State:
     def __init__(self, tc: ToricCode):
         self.tc = tc
         self.lat = tc.lat
-        self.cfg = tc.cfg.to_continuous()
+        self.cfg = tc.cfg
         self.frame = tc.frame
         self.pending = PauliString.identity(tc.n)  # hops not yet applied
         self.face_ctx: tuple[str, tuple[int, int], dict, int] | None = None
         self.transcript: list[dict] = []
 
     def discrete_cfg(self) -> DefectConfig:
-        if not all(isinstance(p, VertexPos) for p in self.cfg.primal + self.cfg.dual):
+        if not all(isinstance(p, tuple) for p in self.cfg.primal + self.cfg.dual):
             raise TransportError("configuration has defects off the lattice")
-        return DefectConfig(
-            tuple(p.v for p in self.cfg.primal), tuple(p.v for p in self.cfg.dual)
-        )
+        return self.cfg
 
     def place(self, kind: str, idx: int, pos) -> None:
-        """Move one defect, then require the hard-core condition."""
+        """Move one defect onto a free site, then require the hard-core condition."""
+        sites = self.cfg.sites(kind)
+        if pos != sites[idx] and pos in sites:
+            raise TransportError(f"{kind} site {pos} is already occupied")
         self.cfg = self.cfg.move(kind, idx, pos)
         hc = hardcore_check(self.lat, self.cfg, self.tc.separation)
         if not hc.ok:
@@ -142,7 +136,7 @@ class _State:
         status, detail, nxt = _classify_step(self.lat, cfg, seg.step, self.tc.separation)
         if status != HOP:
             raise TransportError(f"{status}: {detail}")
-        self.cfg = nxt.to_continuous()
+        self.cfg = nxt
         self.pending = pauli_mul(step_pauli(self.lat, seg.step), self.pending)
         self.transcript.append(
             {"segment": "hop", "kind": seg.step.kind, "edge": list(seg.step.edge), "detail": detail}
@@ -153,9 +147,8 @@ class _State:
         for i, p in enumerate(self.cfg.sites(kind)):
             if isinstance(p, EdgePos) and p.edge == edge and abs(p.t - t) < 1e-9:
                 return i
-            if isinstance(p, VertexPos):
-                if t in (0.0, 1.0) and p.v == ends[0 if t == 0.0 else 1]:
-                    return i
+            if t in (0.0, 1.0) and p == ends[0 if t == 0.0 else 1]:
+                return i
         raise TransportError(f"no {kind} defect at position t={t} on {edge}")
 
     def slide(self, seg: EdgeSlide) -> None:
@@ -170,7 +163,7 @@ class _State:
         self.frame = slide_frame(self.frame, sigma, delta)
         ends = self.lat.edge_endpoints(seg.edge)
         pos = (
-            VertexPos(ends[0 if seg.t_to == 0.0 else 1])
+            ends[0 if seg.t_to == 0.0 else 1]
             if seg.t_to in (0.0, 1.0)
             else EdgePos(seg.edge, seg.t_to)
         )
@@ -197,11 +190,21 @@ class _State:
         if self.face_ctx is None or self.face_ctx[:2] != (seg.kind, seg.face):
             self._enter_face(seg)
         kind, face, frames, idx = self.face_ctx
+        corners = _face_corners(self.lat, kind, face)  # corner label -> lattice site
+        at = self.cfg.sites(kind)[idx]
+        xy_at = (
+            at.xy
+            if isinstance(at, FacePos)
+            else next(xy for xy, label in _CORNER_AT.items() if corners[label] == at)
+        )
+        if max(abs(a - b) for a, b in zip(xy_at, seg.xy_from)) >= 1e-9:
+            raise TransportError(
+                f"{kind} defect is at {xy_at} in face {face}, not at {seg.xy_from}"
+            )
         x, y = seg.xy_to
         self.frame = combine_corner_frames(frames, x, y)
-        corners = _face_corners(self.lat, kind, face)  # corner label -> lattice site
         if seg.xy_to in _CORNER_AT:
-            pos = VertexPos(corners[_CORNER_AT[seg.xy_to]])
+            pos = corners[_CORNER_AT[seg.xy_to]]
             self.face_ctx = None
         elif x == 0.0 or x == 1.0 or y == 0.0 or y == 1.0:
             # exit onto a boundary edge; t runs along the uniform orientation

@@ -1,17 +1,21 @@
 import itertools
 
+import numpy as np
 import pytest
 
+import holoqec.toric.strings
 from holoqec.toric import (
-    ContinuousDefectConfig,
     DefectConfig,
     Edge,
     EdgePos,
     FacePos,
+    HardcoreReport,
+    RoutingError,
     TorusLattice,
-    VertexPos,
+    compile_braid,
     hardcore_check,
 )
+from holoqec.toric.transport import _single_generators
 
 
 def test_edge_count_and_indexing():
@@ -118,17 +122,13 @@ def test_hardcore_face_position_adjacency():
     # vertex to a partner at (1, 1+s)
     s = 3
     for offset, expected in ((s, True), (s - 1, False)):
-        cfg = ContinuousDefectConfig(
-            (FacePos((0, 0), (0.5, 0.5)), VertexPos((1, 1 + offset))), ()
-        )
+        cfg = DefectConfig((FacePos((0, 0), (0.5, 0.5)), (1, 1 + offset)), ())
         assert hardcore_check(lat, cfg, s).ok is expected
 
 
 def test_hardcore_edge_position_adjacency():
     lat = TorusLattice(9)
-    cfg = ContinuousDefectConfig(
-        (EdgePos(Edge(0, 0, "h"), 0.5), VertexPos((4, 0))), ()
-    )
+    cfg = DefectConfig((EdgePos(Edge(0, 0, "h"), 0.5), (4, 0)), ())
     # adjacent set {(0,0), (1,0)}: distance to (4,0) is 3
     assert hardcore_check(lat, cfg, 3).ok
     assert not hardcore_check(lat, cfg, 4).ok
@@ -138,3 +138,89 @@ def test_hardcore_separation_zero_always_passes():
     lat = TorusLattice(3)
     cfg = DefectConfig(((0, 0), (1, 1)), ((0, 0), (1, 1)))
     assert hardcore_check(lat, cfg, 0).ok
+
+
+# -- oracle: every cross pair of every defect pair's adjacent vertices ---------
+
+
+def _reference_hardcore(lat, cfg, s):
+    """The all-pairs check: the least distance over every pair of adjacent
+    vertices, a dual vertex (a face) measured to its closest corner."""
+
+    def adjacent(p):
+        if isinstance(p, EdgePos):
+            return list(lat.edge_endpoints(p.edge))
+        if isinstance(p, FacePos):
+            return lat.face_corners(p.face)
+        return [lat.wrap_vertex(p)]
+
+    def distance(ka, a, kb, b):
+        if ka == kb:
+            return lat.vertex_distance(a, b)
+        v, f = (a, b) if ka == "primal" else (b, a)
+        return min(lat.vertex_distance(v, c) for c in lat.face_corners(f))
+
+    tagged = [
+        (kind, f"{kind}[{i}]", adjacent(p))
+        for kind in ("primal", "dual")
+        for i, p in enumerate(cfg.sites(kind))
+    ]
+    worst = None
+    for (ka, na, va), (kb, nb, vb) in itertools.combinations(tagged, 2):
+        d = min(distance(ka, a, kb, b) for a in va for b in vb)
+        if worst is None or d < worst[0]:
+            worst = (d, (na, nb))
+    if worst is None:
+        return HardcoreReport(True, None, None)
+    d, pair = worst
+    return HardcoreReport(d >= s, None if d >= s else pair, d)
+
+
+def _random_position(rng, L):
+    x, y = (int(c) for c in rng.integers(0, L, size=2))
+    shape = int(rng.integers(0, 3))
+    if shape == 0:
+        return (x, y)
+    if shape == 1:
+        return EdgePos(Edge(x, y, "hv"[int(rng.integers(0, 2))]), float(rng.uniform(0.01, 0.99)))
+    return FacePos((x, y), tuple(float(c) for c in rng.uniform(0.0, 1.0, size=2)))
+
+
+def test_hardcore_matches_the_all_pairs_reference_on_random_configs():
+    rng = np.random.default_rng(26)
+    for _ in range(2000):
+        L = int(rng.integers(2, 8))
+        lat = TorusLattice(L)
+        primal, dual = (
+            tuple(_random_position(rng, L) for _ in range(2 * int(rng.integers(0, 3))))
+            for _ in range(2)
+        )
+        if len(set(primal)) < len(primal) or len(set(dual)) < len(dual):
+            continue
+        cfg = DefectConfig(primal, dual)
+        for s in range(5):
+            assert hardcore_check(lat, cfg, s) == _reference_hardcore(lat, cfg, s), (L, cfg, s)
+
+
+def test_hardcore_matches_the_all_pairs_reference_on_braid_routes(
+    monkeypatch, toric3_braidable, toric3_swap, toric3_two_primal
+):
+    """Every configuration the routable single generators test, both routings."""
+    reached = set()
+
+    def recording(lat, cfg, s):
+        reached.add((lat, cfg))
+        return hardcore_check(lat, cfg, s)
+
+    monkeypatch.setattr(holoqec.toric.strings, "hardcore_check", recording)
+    for tc in (toric3_braidable, toric3_swap, toric3_two_primal):
+        for gen in _single_generators(tc.cfg):
+            for variant in (0, 1):
+                try:
+                    compile_braid(tc.lat, tc.cfg, [gen], tc.separation, variant)
+                except RoutingError:
+                    pass
+    assert len(reached) > 50
+    for lat, cfg in reached:
+        for s in range(5):
+            assert hardcore_check(lat, cfg, s) == _reference_hardcore(lat, cfg, s), (cfg, s)

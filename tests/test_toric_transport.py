@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from holoqec.toric import (
     FaceMove,
     FullBraid,
     HalfBraid,
+    RoutingError,
     Step,
     TorusLoop,
     TransportError,
@@ -23,6 +26,7 @@ from holoqec.toric import (
     transport_along,
 )
 from holoqec.toric.strings import step_pauli
+from holoqec.toric.transport import _single_generators
 from holoqec.transport import NONTRIVIAL_LOGICAL, PHASE_ONLY
 
 
@@ -173,6 +177,47 @@ def test_transport_rejects_illegal_hop(toric3_two_primal):
         )
 
 
+def test_slide_onto_an_occupied_vertex_is_refused(toric3_braidable):
+    """At separation 0 the hard-core check passes, but two primal defects
+    may not share a vertex; a hop there is refused as would-annihilate."""
+    tc = toric3_braidable  # primal defects at (0, 0) and (0, 2)
+    path = ConfigPath(
+        (
+            EdgeSlide("primal", Edge(0, 0, "v"), 0.0, 1.0),
+            EdgeSlide("primal", Edge(0, 1, "v"), 0.0, 1.0),
+        )
+    )
+    with pytest.raises(TransportError, match=r"primal site \(0, 2\) is already occupied"):
+        transport_along(tc, path)
+
+
+def test_face_entry_from_the_wrong_corner_is_refused(toric3_two_primal):
+    tc = toric3_two_primal  # primal[0] sits on corner C of face (0, 0)
+    with pytest.raises(TransportError, match=r"at \(0.0, 0.0\) in face \(0, 0\)"):
+        transport_along(tc, ConfigPath((FaceMove("primal", (0, 0), (1.0, 1.0), (0.3, 0.4)),)))
+
+
+def test_face_move_from_the_wrong_point_is_refused(toric3_two_primal):
+    tc = toric3_two_primal
+    path = ConfigPath(
+        (
+            FaceMove("primal", (0, 0), (0.0, 0.0), (0.3, 0.4)),
+            FaceMove("primal", (0, 0), (0.9, 0.9), (0.5, 0.5)),
+        )
+    )
+    with pytest.raises(TransportError, match=r"at \(0.3, 0.4\) in face \(0, 0\)"):
+        transport_along(tc, path)
+    # within the slide tolerance the stated start is the defect's position
+    near = ConfigPath(
+        (
+            FaceMove("primal", (0, 0), (0.0, 0.0), (0.3, 0.4)),
+            FaceMove("primal", (0, 0), (0.3 + 1e-12, 0.4), (0.0, 0.0)),
+        )
+    )
+    out, _ = transport_along(tc, near)
+    assert np.max(np.abs(out.data - tc.frame.data)) < 1e-12
+
+
 def _hop_reference(tc, steps, data):
     """Apply each hop's single-site Pauli in turn."""
     for step in steps:
@@ -288,3 +333,26 @@ def test_word_composition_matches_product(toric3_braidable):
     m2 = monodromy(tc, w2)[0].logical
     m12 = monodromy(tc, w1 + w2)[0].logical
     assert np.max(np.abs(m12 - m2 @ m1)) < 1e-10
+
+
+MONODROMY_SHA256 = "43c770244b4970ada791ddd3e9da158332d0ef9345e2f97acb12d988b2671873"
+
+
+def test_monodromies_match_the_pinned_digest(toric3_braidable, toric3_swap, toric3_two_primal):
+    """Every single generator on the braid fixtures, under both routings:
+    the transcript, the classification and the phase to 1e-9, or the
+    routing error's message."""
+    h = hashlib.sha256()
+    fixtures = {"braidable": toric3_braidable, "swap": toric3_swap, "two_primal": toric3_two_primal}
+    for name, tc in fixtures.items():
+        for gen in _single_generators(tc.cfg):
+            for variant in (0, 1):
+                h.update(repr((name, gen, variant)).encode())
+                try:
+                    res, transcript = monodromy(tc, [gen], variant)
+                except RoutingError as err:
+                    h.update(repr(("routing", str(err))).encode())
+                    continue
+                phase = tuple(round(v, 9) + 0.0 for v in (res.phase.real, res.phase.imag))
+                h.update(repr((transcript, res.classification, phase)).encode())
+    assert h.hexdigest() == MONODROMY_SHA256
