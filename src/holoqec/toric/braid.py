@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 from .lattice import DefectConfig, TorusLattice, wrapped_step
-from .strings import HOP, Step, StringEvolution, _classify_step
+from .strings import HOP, InvalidEvolutionError, Step, StringEvolution, _classify_step, _run_hops
 
 __all__ = [
     "DefectRef",
@@ -308,14 +308,13 @@ def _enclosed_site(kind: str, L: int, src, vec, side):
 def _rebuild_with_bump(
     lat: TorusLattice, cfg: DefectConfig, s: int, steps: list[Step]
 ) -> list[Step] | None:
-    """Replace the first bumpable hop with a homotopic 3-hop detour."""
+    """Replace the first bumpable hop of the legal path ``steps`` with a
+    homotopic 3-hop detour."""
     cur = cfg  # the configuration before steps[k]
     for k, step in enumerate(steps):
         kind = step.kind
         a, b = lat.edge_endpoints(step.edge)
         sites = cur.sites(kind)
-        if (a in sites) == (b in sites):
-            return None
         src, dst = (a, b) if a in sites else (b, a)
         idx = sites.index(src)
         vec = _hop_vector(lat.L, src, dst)
@@ -325,21 +324,13 @@ def _rebuild_with_bump(
             if _enclosed_site(kind, lat.L, src, vec, side) in opposite:
                 continue
             trial = _Compiler(lat, cur, s)
-            trial.steps = steps[:k]
             try:
                 trial.walk((kind, idx), _bump_detour(lat.L, src, dst, side))
-                for st in steps[k + 1 :]:
-                    status, detail, nxt = _classify_step(lat, trial.cfg, st, s)
-                    if status != HOP:
-                        raise RoutingError(detail)
-                    trial.steps.append(st)
-                    trial.cfg = nxt
-            except RoutingError:
+                _run_hops(lat, trial.cfg, steps[k + 1 :], s)
+            except (RoutingError, InvalidEvolutionError):
                 continue
-            return trial.steps
-        status, _, cur = _classify_step(lat, cur, step, s)
-        if status != HOP:
-            return None
+            return steps[:k] + trial.steps + steps[k + 1 :]
+        _, _, cur = _classify_step(lat, cur, step, s)
     return None
 
 

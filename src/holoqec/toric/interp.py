@@ -9,7 +9,8 @@ A face with lower-left corner (fx, fy) has its corners labelled
 with in-face coordinates (x, y) measured from C.  Under the uniform edge
 orientation the face edges run C->D, A->B (+x) and C->A, D->B (+y).  Dual
 faces (centered on a primal vertex) get the same treatment in dual
-coordinates, with X-type connecting Paulis.
+coordinates, with X-type connecting Paulis.  Edge and face codes vet their
+corners with the move check of every defect move (``strings._move_check``).
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ import numpy as np
 from ..frames import Frame, common_rows, subspace_distance
 from ..pauli import PauliString, alpha, apply_pauli, beta, interp_matrix, pauli_mul
 from .build import ToricCode, build_code
-from .lattice import DefectConfig, Edge, TorusLattice, hardcore_check
-from .strings import Step, step_pauli
+from .lattice import DefectConfig, Edge, TorusLattice
+from .strings import Step, TransportError, _move_check, step_pauli
 
 __all__ = [
     "lower_coeffs",
@@ -32,14 +33,13 @@ __all__ = [
     "slide_frame",
     "det_winding_check",
     "FaceEntryError",
-    "face_corner_coords",
     "face_checks",
 ]
 
 _EPS = 1e-12
 
 
-class FaceEntryError(ValueError):
+class FaceEntryError(TransportError):
     """A corner configuration is invalid, so the face interior is off limits."""
 
 
@@ -65,10 +65,6 @@ def upper_coeffs(x: float, y: float) -> tuple[complex, complex, complex]:
     ph = beta(x) * alpha(y)
     d = 0.0 if abs(ph) < _EPS else _unit_phase(ph) * rad  # d'(x, 1) = 0
     return a, b, d
-
-
-def face_corner_coords() -> dict[str, tuple[float, float]]:
-    return {"C": (0.0, 0.0), "D": (1.0, 0.0), "A": (0.0, 1.0), "B": (1.0, 1.0)}
 
 
 def _face_corners(lat: TorusLattice, kind: str, face) -> dict[str, tuple[int, int]]:
@@ -124,12 +120,9 @@ def corner_frames(tc: ToricCode, kind: str, face) -> tuple[dict[str, Frame], int
     corners = _face_corners(lat, kind, face)
     idx, start_lbl = _moving_defect(lat, tc, kind, corners)
     for lbl, cv in corners.items():
-        try:
-            cfg_l = tc.cfg.move(kind, idx, cv)
-        except ValueError as exc:  # another defect already occupies the corner
-            raise FaceEntryError(f"corner {lbl} at {cv} is already occupied") from exc
-        if not hardcore_check(lat, cfg_l, tc.separation).ok:
-            raise FaceEntryError(f"corner {lbl} at {cv} violates the hard-core condition")
+        _, why = _move_check(lat, tc.cfg, kind, idx, cv, tc.separation)
+        if why:
+            raise FaceEntryError(f"corner {lbl} at {cv} {why}")
 
     p_ca = _connecting_pauli(lat, kind, corners["C"], corners["A"])
     p_cd = _connecting_pauli(lat, kind, corners["C"], corners["D"])
@@ -194,12 +187,9 @@ def edge_code(tc: ToricCode, kind: str, edge: Edge, t: float) -> Frame:
         raise ValueError(f"need exactly one {kind} defect on {edge}")
     idx = positions.index(a if at_a else b)
     for dest in (a, b):
-        try:
-            moved = tc.cfg.move(kind, idx, dest)
-        except ValueError as exc:
-            raise ValueError(f"edge endpoint {dest} is already occupied") from exc
-        if not hardcore_check(lat, moved, tc.separation).ok:
-            raise ValueError(f"endpoint {dest} violates the hard-core condition")
+        _, why = _move_check(lat, tc.cfg, kind, idx, dest, tc.separation)
+        if why:
+            raise ValueError(f"edge endpoint {dest} {why}")
     f_start = tc.frame if at_a else apply_pauli(sigma, tc.frame)
     return slide_frame(f_start, sigma, t)
 

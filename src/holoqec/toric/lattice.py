@@ -165,7 +165,7 @@ def wrapped_step(L: int, a: int, b: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class EdgePos:
-    edge: Edge
+    edge: Edge  # wrapped, so that one point of an edge has one EdgePos
     t: float  # position along the oriented edge, in (0, 1)
 
     def __post_init__(self):
@@ -186,6 +186,41 @@ class FacePos:
 
 # a vertex (x, y) of the defect's own lattice, an edge interior or a face interior
 Position = Union[Vertex, EdgePos, FacePos]
+
+
+def _position(lat: TorusLattice, corner: Vertex, uv: tuple[float, float]) -> Position:
+    """The canonical position of the point ``uv`` of the unit square at ``corner``:
+    a side point is a vertex at an end of that side's wrapped edge, else an
+    ``EdgePos``; only inner points are a ``FacePos``."""
+    (cx, cy), (x, y) = corner, uv
+    if x in (0.0, 1.0):
+        edge, t = Edge(lat.wrap(cx + int(x)), lat.wrap(cy), "v"), y
+    elif y in (0.0, 1.0):
+        edge, t = Edge(lat.wrap(cx), lat.wrap(cy + int(y)), "h"), x
+    else:
+        return FacePos(lat.wrap_vertex(corner), uv)
+    return lat.edge_endpoints(edge)[int(t)] if t in (0.0, 1.0) else EdgePos(edge, t)
+
+
+def _offset(lat: TorusLattice, pos: Position, corner: Vertex) -> tuple[float, float]:
+    """``pos`` relative to ``corner``: wrapped whole steps plus its fraction."""
+    if isinstance(pos, EdgePos):
+        (x, y, o), t = pos.edge, pos.t
+        frac = (t, 0.0) if o == "h" else (0.0, t)
+    elif isinstance(pos, FacePos):
+        (x, y), frac = pos.face, pos.xy
+    else:
+        (x, y), frac = pos, (0.0, 0.0)
+    return (x - corner[0]) % lat.L + frac[0], (y - corner[1]) % lat.L + frac[1]
+
+
+def _locate(lat: TorusLattice, sites, corner: Vertex, uv: tuple[float, float]) -> int | None:
+    """The first site within 1e-9 per axis of point ``uv`` at ``corner``, or None."""
+    for i, p in enumerate(sites):
+        gaps = [abs(o - u) for o, u in zip(_offset(lat, p, corner), uv)]
+        if all(min(g, abs(lat.L - g)) < 1e-9 for g in gaps):
+            return i
+    return None
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@
 A step is a primal edge (apply Z there) or a dual edge (apply X on the primal
 edge it crosses).  Legality per step: the edge must be adjacent to exactly one
 defect of its type (no creation, no annihilation) and the destination must
-keep the minimum separation from every other defect.
+pass ``_move_check``, the move check of every defect move.  ``_run_hops``, the
+one hop runner, checks a run of steps and returns their exact Pauli product.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 from ..pauli import PauliString, apply_pauli, pauli_mul
 from .build import ToricCode
-from .lattice import DefectConfig, Edge, TorusLattice, hardcore_check
+from .lattice import DefectConfig, Edge, Position, TorusLattice, hardcore_check
 
 __all__ = [
     "Step",
@@ -28,7 +29,11 @@ WOULD_ANNIHILATE = "would-annihilate"
 HARDCORE_VIOLATION = "hard-core-violation"
 
 
-class InvalidEvolutionError(ValueError):
+class TransportError(ValueError):  # any illegal defect move
+    pass
+
+
+class InvalidEvolutionError(TransportError):
     pass
 
 
@@ -60,6 +65,22 @@ def step_pauli(lat: TorusLattice, step: Step) -> PauliString:
     return PauliString.single(lat.n_edges, lat.edge_index(qubit), "X")
 
 
+def _move_check(
+    lat: TorusLattice, cfg: DefectConfig, kind: str, idx: int, pos: Position, s: int
+) -> tuple[DefectConfig | None, str | None]:
+    """The configuration with defect ``idx`` of ``kind`` at ``pos``, or None and
+    why not: ``pos`` holds another defect of its kind, or a pair breaks
+    separation ``s``.  The reason completes a sentence about ``pos``."""
+    sites = cfg.sites(kind)
+    if pos != sites[idx] and pos in sites:
+        return None, "is already occupied"
+    moved = cfg.move(kind, idx, pos)
+    hc = hardcore_check(lat, moved, s)
+    if not hc.ok:
+        return None, f"breaks separation {s}: {hc.violating_pair} at distance {hc.min_distance}"
+    return moved, None
+
+
 def _classify_step(
     lat: TorusLattice, cfg: DefectConfig, step: Step, s: int
 ) -> tuple[str, str, DefectConfig]:
@@ -72,16 +93,27 @@ def _classify_step(
     if not at_a and not at_b:
         return WOULD_CREATE, f"no {step.kind} defect adjacent to {step.edge}", cfg
     src, dst = (a, b) if at_a else (b, a)
-    moved = cfg.move(step.kind, sites.index(src), dst)
-    hc = hardcore_check(lat, moved, s)
-    if not hc.ok:
-        return (
-            HARDCORE_VIOLATION,
-            f"destination {dst} breaks separation {s}: {hc.violating_pair} "
-            f"at distance {hc.min_distance}",
-            cfg,
-        )
+    moved, why = _move_check(lat, cfg, step.kind, sites.index(src), dst, s)
+    if why:
+        return HARDCORE_VIOLATION, f"destination {dst} {why}", cfg
     return HOP, f"{step.kind} defect {src} -> {dst}", moved
+
+
+def _run_hops(
+    lat: TorusLattice, cfg: DefectConfig, steps, s: int, first: int = 0
+) -> tuple[DefectConfig, PauliString, list[str]]:
+    """Check steps one at a time from ``cfg``: the end configuration, their
+    exact Pauli product (last step leftmost) and each hop's detail.  The first
+    illegal step raises InvalidEvolutionError, its index counted from ``first``."""
+    total = PauliString.identity(lat.n_edges)
+    details = []
+    for i, step in enumerate(steps, first):
+        status, detail, cfg = _classify_step(lat, cfg, step, s)
+        if status != HOP:
+            raise InvalidEvolutionError(f"step {i}: {status}: {detail}")
+        total = pauli_mul(step_pauli(lat, step), total)
+        details.append(detail)
+    return cfg, total, details
 
 
 def apply_string(tc: ToricCode, ev: StringEvolution) -> tuple[ToricCode, PauliString]:
@@ -90,13 +122,5 @@ def apply_string(tc: ToricCode, ev: StringEvolution) -> tuple[ToricCode, PauliSt
     The returned code's frame is the composed operator applied to the input
     frame, which spans the moved configuration's eigenspace exactly.
     """
-    lat = tc.lat
-    cur = tc.cfg
-    total = PauliString.identity(lat.n_edges)
-    for i, step in enumerate(ev.steps):
-        status, detail, nxt = _classify_step(lat, cur, step, tc.separation)
-        if status != HOP:
-            raise InvalidEvolutionError(f"step {i}: {status}: {detail}")
-        total = pauli_mul(step_pauli(lat, step), total)
-        cur = nxt
-    return tc.with_frame(apply_pauli(total, tc.frame), cur), total
+    cfg, total, _ = _run_hops(tc.lat, tc.cfg, ev.steps, tc.separation)
+    return tc.with_frame(apply_pauli(total, tc.frame), cfg), total

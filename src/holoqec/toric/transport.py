@@ -6,17 +6,23 @@ fibre moves given by the explicit coefficient solution.  Transport is the
 path-ordered product applied to the frame; a braid word's monodromy is the
 classified fibre action of its compiled hop path, and two homotopic
 routings of a word must agree up to a phase (the flatness probe).
+
+Each maximal run of hops goes to the one hop runner (``strings._run_hops``).
+Slides and face moves find their defect by one locate function and store
+where it lands by one position rule (``lattice._locate``, ``_position``);
+every move passes one move check (``strings._move_check``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Union
 
 import numpy as np
 
 from ..frames import Frame, common_rows, principal_overlap
-from ..pauli import PauliString, apply_pauli, pauli_mul
+from ..pauli import apply_pauli
 from ..transport import FlatnessReport, HolonomyResult, classify
 from .braid import (
     BraidWord,
@@ -28,15 +34,9 @@ from .braid import (
     compile_braid,
 )
 from .build import ToricCode
-from .interp import (
-    _face_corners,
-    combine_corner_frames,
-    corner_frames,
-    face_corner_coords,
-    slide_frame,
-)
-from .lattice import DefectConfig, Edge, EdgePos, FacePos, hardcore_check
-from .strings import HOP, Step, StringEvolution, _classify_step, step_pauli
+from .interp import _face_corners, combine_corner_frames, corner_frames, slide_frame
+from .lattice import DefectConfig, Edge, FacePos, _locate, _offset, _position
+from .strings import Step, StringEvolution, TransportError, _move_check, _run_hops, step_pauli
 
 __all__ = [
     "DiscreteHop",
@@ -48,10 +48,6 @@ __all__ = [
     "monodromy",
     "flatness_probe_toric",
 ]
-
-
-class TransportError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -76,8 +72,6 @@ class FaceMove:
 
 
 Segment = Union[DiscreteHop, EdgeSlide, FaceMove]
-# face coordinates (x, y) of a corner -> its label
-_CORNER_AT = {xy: label for label, xy in face_corner_coords().items()}
 
 
 @dataclass(frozen=True)
@@ -92,6 +86,11 @@ class ConfigPath:
         return len(self.segments)
 
 
+def _edge_point(edge: Edge, t: float) -> tuple[tuple[int, int], tuple[float, float]]:
+    """Point t of an edge as a point of the unit square at the edge's start."""
+    return (edge.x, edge.y), ((t, 0.0) if edge.o == "h" else (0.0, t))
+
+
 class _State:
     """Mutable transport state: positions, frame, live face context."""
 
@@ -100,9 +99,23 @@ class _State:
         self.lat = tc.lat
         self.cfg = tc.cfg
         self.frame = tc.frame
-        self.pending = PauliString.identity(tc.n)  # hops not yet applied
         self.face_ctx: tuple[str, tuple[int, int], dict, int] | None = None
         self.transcript: list[dict] = []
+
+    def run(self, segments) -> "_State":
+        """Apply the segments in order, each maximal run of hops at once."""
+        for is_hop, group in groupby(enumerate(segments), lambda p: isinstance(p[1], DiscreteHop)):
+            if is_hop:
+                self.hops(list(group))
+                continue
+            for _, seg in group:
+                if isinstance(seg, EdgeSlide):
+                    self.slide(seg)
+                elif isinstance(seg, FaceMove):
+                    self.face_move(seg)
+                else:
+                    raise TypeError(f"unknown segment {seg!r}")
+        return self
 
     def discrete_cfg(self) -> DefectConfig:
         if not all(isinstance(p, tuple) for p in self.cfg.primal + self.cfg.dual):
@@ -110,64 +123,37 @@ class _State:
         return self.cfg
 
     def place(self, kind: str, idx: int, pos) -> None:
-        """Move one defect onto a free site, then require the hard-core condition."""
-        sites = self.cfg.sites(kind)
-        if pos != sites[idx] and pos in sites:
-            raise TransportError(f"{kind} site {pos} is already occupied")
-        self.cfg = self.cfg.move(kind, idx, pos)
-        hc = hardcore_check(self.lat, self.cfg, self.tc.separation)
-        if not hc.ok:
-            raise TransportError(
-                f"hard-core violation mid-path: {hc.violating_pair} "
-                f"at distance {hc.min_distance}"
-            )
-
-    def flush(self) -> None:
-        """Apply the pending hops' exact product to the frame, in one pass."""
-        if self.pending != PauliString.identity(self.tc.n):
-            self.frame = apply_pauli(self.pending, self.frame)
-            self.pending = PauliString.identity(self.tc.n)
+        moved, why = _move_check(self.lat, self.cfg, kind, idx, pos, self.tc.separation)
+        if why:
+            raise TransportError(f"{kind} site {pos} {why}")
+        self.cfg = moved
 
     # -- segment handlers ----------------------------------------------------
 
-    def hop(self, seg: DiscreteHop) -> None:
+    def hops(self, run: list[tuple[int, DiscreteHop]]) -> None:
         self.face_ctx = None
-        cfg = self.discrete_cfg()
-        status, detail, nxt = _classify_step(self.lat, cfg, seg.step, self.tc.separation)
-        if status != HOP:
-            raise TransportError(f"{status}: {detail}")
-        self.cfg = nxt
-        self.pending = pauli_mul(step_pauli(self.lat, seg.step), self.pending)
-        self.transcript.append(
-            {"segment": "hop", "kind": seg.step.kind, "edge": list(seg.step.edge), "detail": detail}
+        steps = [seg.step for _, seg in run]
+        self.cfg, total, details = _run_hops(
+            self.lat, self.discrete_cfg(), steps, self.tc.separation, run[0][0]
         )
-
-    def _find_on_edge(self, kind: str, edge: Edge, t: float) -> int:
-        ends = self.lat.edge_endpoints(edge)
-        for i, p in enumerate(self.cfg.sites(kind)):
-            if isinstance(p, EdgePos) and p.edge == edge and abs(p.t - t) < 1e-9:
-                return i
-            if t in (0.0, 1.0) and p == ends[0 if t == 0.0 else 1]:
-                return i
-        raise TransportError(f"no {kind} defect at position t={t} on {edge}")
+        self.frame = apply_pauli(total, self.frame)
+        self.transcript += [
+            {"segment": "hop", "kind": st.kind, "edge": list(st.edge), "detail": detail}
+            for st, detail in zip(steps, details)
+        ]
 
     def slide(self, seg: EdgeSlide) -> None:
         self.face_ctx = None
-        self.flush()
         if not (0.0 <= seg.t_from <= 1.0 and 0.0 <= seg.t_to <= 1.0):
             raise TransportError("slide parameters must lie in [0, 1]")
-        idx = self._find_on_edge(seg.kind, seg.edge, seg.t_from)
+        start, uv_from = _edge_point(seg.edge, seg.t_from)
+        idx = _locate(self.lat, self.cfg.sites(seg.kind), start, uv_from)
+        if idx is None:
+            raise TransportError(f"no {seg.kind} defect at position t={seg.t_from} on {seg.edge}")
         sigma = step_pauli(self.lat, Step(seg.kind, seg.edge))
-        delta = seg.t_to - seg.t_from
         # U(t1) U(t0)^dagger = exp(i (t1 - t0) H) = alpha(d) 1 + beta(d) sigma
-        self.frame = slide_frame(self.frame, sigma, delta)
-        ends = self.lat.edge_endpoints(seg.edge)
-        pos = (
-            ends[0 if seg.t_to == 0.0 else 1]
-            if seg.t_to in (0.0, 1.0)
-            else EdgePos(seg.edge, seg.t_to)
-        )
-        self.place(seg.kind, idx, pos)
+        self.frame = slide_frame(self.frame, sigma, seg.t_to - seg.t_from)
+        self.place(seg.kind, idx, _position(self.lat, *_edge_point(seg.edge, seg.t_to)))
         self.transcript.append(
             {
                 "segment": "slide",
@@ -177,50 +163,27 @@ class _State:
             }
         )
 
-    def _enter_face(self, seg: FaceMove) -> None:
-        if seg.xy_from not in _CORNER_AT:
-            raise TransportError("face entry must start at a corner")
-        cfg = self.discrete_cfg()
-        tc_here = self.tc.with_frame(self.frame, cfg)
-        frames, idx = corner_frames(tc_here, seg.kind, seg.face)
-        self.face_ctx = (seg.kind, seg.face, frames, idx)
-
     def face_move(self, seg: FaceMove) -> None:
-        self.flush()
-        if self.face_ctx is None or self.face_ctx[:2] != (seg.kind, seg.face):
-            self._enter_face(seg)
-        kind, face, frames, idx = self.face_ctx
-        corners = _face_corners(self.lat, kind, face)  # corner label -> lattice site
-        at = self.cfg.sites(kind)[idx]
-        xy_at = (
-            at.xy
-            if isinstance(at, FacePos)
-            else next(xy for xy, label in _CORNER_AT.items() if corners[label] == at)
-        )
-        if max(abs(a - b) for a, b in zip(xy_at, seg.xy_from)) >= 1e-9:
+        kind, face = seg.kind, seg.face
+        if not all(0.0 <= c <= 1.0 for c in seg.xy_from + seg.xy_to):
+            raise TransportError("face coordinates must lie in the unit square")
+        corner = _face_corners(self.lat, kind, face)["C"]  # in-face (0, 0)
+        if self.face_ctx is None or self.face_ctx[:2] != (kind, face):
+            if not isinstance(_position(self.lat, corner, seg.xy_from), tuple):
+                raise TransportError("face entry must start at a corner")
+            tc_here = self.tc.with_frame(self.frame, self.discrete_cfg())
+            self.face_ctx = (kind, face, *corner_frames(tc_here, kind, face))
+        _, _, frames, idx = self.face_ctx
+        sites = self.cfg.sites(kind)
+        if _locate(self.lat, sites, corner, seg.xy_from) != idx:
             raise TransportError(
-                f"{kind} defect is at {xy_at} in face {face}, not at {seg.xy_from}"
+                f"{kind} defect is at {_offset(self.lat, sites[idx], corner)} "
+                f"in face {face}, not at {seg.xy_from}"
             )
-        x, y = seg.xy_to
-        self.frame = combine_corner_frames(frames, x, y)
-        if seg.xy_to in _CORNER_AT:
-            pos = corners[_CORNER_AT[seg.xy_to]]
+        self.frame = combine_corner_frames(frames, *seg.xy_to)
+        pos = _position(self.lat, corner, seg.xy_to)
+        if not isinstance(pos, FacePos):
             self.face_ctx = None
-        elif x == 0.0 or x == 1.0 or y == 0.0 or y == 1.0:
-            # exit onto a boundary edge; t runs along the uniform orientation
-            if x == 0.0:
-                boundary_edge, t = Edge(*corners["C"], "v"), y  # CA
-            elif x == 1.0:
-                boundary_edge, t = Edge(*corners["D"], "v"), y  # DB
-            elif y == 0.0:
-                boundary_edge, t = Edge(*corners["C"], "h"), x  # CD
-            else:
-                boundary_edge, t = Edge(*corners["A"], "h"), x  # AB
-            pos = EdgePos(boundary_edge, t)
-            self.face_ctx = None
-        else:
-            # FacePos.face is the lower-left corner on the defect's own lattice
-            pos = FacePos(corners["C"], seg.xy_to)
         self.place(kind, idx, pos)
         self.transcript.append(
             {
@@ -239,17 +202,7 @@ def transport_along(tc: ToricCode, path: ConfigPath) -> tuple[Frame, list[dict]]
     TransportError on any illegal move.  Hops are checked one by one, but
     each run of them reaches the frame as one exact Pauli product.
     """
-    st = _State(tc)
-    for seg in path.segments:
-        if isinstance(seg, DiscreteHop):
-            st.hop(seg)
-        elif isinstance(seg, EdgeSlide):
-            st.slide(seg)
-        elif isinstance(seg, FaceMove):
-            st.face_move(seg)
-        else:
-            raise TypeError(f"unknown segment {seg!r}")
-    st.flush()
+    st = _State(tc).run(path.segments)
     return st.frame, st.transcript
 
 

@@ -11,6 +11,7 @@ from holoqec.toric import (
     DefectConfig,
     DiscreteHop,
     Edge,
+    EdgePos,
     EdgeSlide,
     FaceMove,
     FullBraid,
@@ -19,6 +20,7 @@ from holoqec.toric import (
     Step,
     TorusLoop,
     TransportError,
+    apply_string,
     compile_braid,
     edge_code,
     face_code,
@@ -26,7 +28,7 @@ from holoqec.toric import (
     transport_along,
 )
 from holoqec.toric.strings import step_pauli
-from holoqec.toric.transport import _single_generators
+from holoqec.toric.transport import _single_generators, _State
 from holoqec.transport import NONTRIVIAL_LOGICAL, PHASE_ONLY
 
 
@@ -218,6 +220,89 @@ def test_face_move_from_the_wrong_point_is_refused(toric3_two_primal):
     assert np.max(np.abs(out.data - tc.frame.data)) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "fixture, seg, match",
+    [
+        (  # both primal defects sit on corners of face (0, 0)
+            "toric3_swap",
+            FaceMove("primal", (0, 0), (0.0, 0.0), (0.3, 0.3)),
+            "need exactly one primal defect on a corner, found 2",
+        ),
+        (
+            "toric3_two_primal",
+            FaceMove("primal", (0, 0), (0.0, 0.0), (1.5, 0.3)),
+            "face coordinates must lie in the unit square",
+        ),
+        (
+            "toric3_two_primal",
+            FaceMove("primal", (0, 0), (0.0, 2.0), (0.3, 0.3)),
+            "face coordinates must lie in the unit square",
+        ),
+    ],
+    ids=["entry", "outside", "from-outside"],
+)
+def test_illegal_face_moves_are_transport_errors(request, fixture, seg, match):
+    tc = request.getfixturevalue(fixture)
+    with pytest.raises(TransportError, match=match):
+        transport_along(tc, ConfigPath((seg,)))
+
+
+def test_slides_store_wrapped_edges(toric3_two_primal, toric3_braidable):
+    tc = toric3_two_primal
+    path = ConfigPath(
+        (
+            EdgeSlide("primal", Edge(3, 0, "v"), 0.0, 0.5),
+            EdgeSlide("primal", Edge(0, 0, "v"), 0.5, 0.0),
+        )
+    )
+    out, _ = transport_along(tc, path)
+    assert np.max(np.abs(out.data - tc.frame.data)) < 1e-12
+
+    # one point of one edge, named once from each end's defect
+    tc = toric3_braidable  # primal defects at (0, 0) and (0, 2), separation 0
+    path = ConfigPath(
+        (
+            EdgeSlide("primal", Edge(0, 2, "v"), 0.0, 0.5),
+            EdgeSlide("primal", Edge(0, -1, "v"), 1.0, 0.5),
+        )
+    )
+    with pytest.raises(TransportError, match=r"t=0.5\) is already occupied"):
+        transport_along(tc, path)
+    mid = EdgePos(Edge(0, 2, "v"), 0.5)
+    with pytest.raises(ValueError, match="duplicate primal defects"):
+        DefectConfig((mid, mid), ())
+
+
+def test_slides_locate_vertices_within_the_tolerance(toric3_two_primal):
+    tc = toric3_two_primal  # primal[0] at (0, 0), the start of edge (0, 0, v)
+    e = Edge(0, 0, "v")
+    out, _ = transport_along(tc, ConfigPath((EdgeSlide("primal", e, 1e-12, 0.5),)))
+    assert subspace_distance(out, edge_code(tc, "primal", e, 0.5)) < 1e-9
+    with pytest.raises(TransportError, match="no primal defect at position t=1e-06"):
+        transport_along(tc, ConfigPath((EdgeSlide("primal", e, 1e-6, 0.5),)))
+
+
+def test_hop_paths_agree_with_apply_string(toric3_braidable, toric3_swap, toric3_two_primal):
+    """Every routable single generator, both routings: transport and
+    apply_string give the same frame and the same configuration."""
+    checked = 0
+    for tc in (toric3_braidable, toric3_swap, toric3_two_primal):
+        for gen in _single_generators(tc.cfg):
+            for variant in (0, 1):
+                try:
+                    ev, _ = compile_braid(tc.lat, tc.cfg, [gen], tc.separation, variant)
+                except RoutingError:
+                    continue
+                path = ConfigPath.from_evolution(ev)
+                out, _ = transport_along(tc, path)
+                moved, _ = apply_string(tc, ev)
+                assert np.array_equal(out.rows, moved.frame.rows)
+                assert np.array_equal(out.vals, moved.frame.vals)
+                assert _State(tc).run(path.segments).cfg == moved.cfg
+                checked += 1
+    assert checked > 20
+
+
 def _hop_reference(tc, steps, data):
     """Apply each hop's single-site Pauli in turn."""
     for step in steps:
@@ -356,3 +441,95 @@ def test_monodromies_match_the_pinned_digest(toric3_braidable, toric3_swap, tori
                 phase = tuple(round(v, 9) + 0.0 for v in (res.phase.real, res.phase.imag))
                 h.update(repr((transcript, res.classification, phase)).encode())
     assert h.hexdigest() == MONODROMY_SHA256
+
+
+FACE_POINTS = (
+    ((0.3, 0.4), (0.8, 0.1), (0.2, 0.7)),
+    ((0.05, 0.95), (0.5, 0.5), (0.95, 0.05)),
+    ((0.9, 0.9), (0.12, 0.2), (0.6, 0.33)),
+)
+EDGE_POINTS = (((0.3, 0.6), 0.25), ((0.77, 0.12), 0.5), ((0.05, 0.95), 0.95))
+
+
+def _continuous_paths(two, dual, braid):
+    """(name, code, segments): the benchmark's face and edge loops at fixed
+    points with every prefix, dual face moves from corners C and A, exits
+    onto each boundary edge, and mixed hop / slide / face paths."""
+    face = (0, 0)
+    out = []
+    for n, pts in enumerate(FACE_POINTS):
+        loop = ((0.0, 0.0),) + pts + ((0.0, 0.0),)
+        segs = tuple(FaceMove("primal", face, a, b) for a, b in zip(loop, loop[1:]))
+        out += [(f"face{n}:{k}", two, segs[:k]) for k in range(1, len(segs) + 1)]
+    for n, (p, t) in enumerate(EDGE_POINTS):
+        for o, exit_xy in (("v", (0.0, t)), ("h", (t, 0.0))):
+            segs = (
+                FaceMove("primal", face, (0.0, 0.0), p),
+                FaceMove("primal", face, p, exit_xy),
+                EdgeSlide("primal", Edge(0, 0, o), t, 0.0),
+            )
+            out += [(f"edge{n}{o}:{k}", two, segs[:k]) for k in (2, 3)]
+    for vertex, corner in (((1, 1), (0.0, 0.0)), ((1, 0), (0.0, 1.0))):
+        segs = (
+            FaceMove("dual", vertex, corner, (0.3, 0.6)),
+            FaceMove("dual", vertex, (0.3, 0.6), (0.7, 0.45)),
+            FaceMove("dual", vertex, (0.7, 0.45), corner),
+        )
+        out += [(f"dual{vertex}:{k}", dual, segs[:k]) for k in (1, 3)]
+    exits = (
+        ((0.0, 0.5), EdgeSlide("primal", Edge(0, 0, "v"), 0.5, 0.0)),  # CA
+        ((1.0, 0.3), EdgeSlide("primal", Edge(1, 0, "v"), 0.3, 0.0)),  # DB
+        ((0.3, 0.0), EdgeSlide("primal", Edge(0, 0, "h"), 0.3, 1.0)),  # CD
+        ((0.7, 1.0), EdgeSlide("primal", Edge(0, 1, "h"), 0.7, 0.0)),  # AB
+        ((1.0, 1.0), DiscreteHop(Step("primal", Edge(1, 0, "v")))),  # corner B
+    )
+    for exit_xy, then in exits:
+        segs = (
+            FaceMove("primal", face, (0.0, 0.0), (0.4, 0.6)),
+            FaceMove("primal", face, (0.4, 0.6), exit_xy),
+            then,
+        )
+        out += [(f"exit{exit_xy}:{k}", two, segs[:k]) for k in (2, 3)]
+    mixed = (
+        DiscreteHop(Step("primal", Edge(0, 0, "h"))),
+        EdgeSlide("primal", Edge(1, 0, "v"), 0.0, 0.4),
+        EdgeSlide("primal", Edge(1, 0, "v"), 0.4, 1.0),
+        FaceMove("primal", face, (1.0, 1.0), (0.5, 0.5)),
+        FaceMove("primal", face, (0.5, 0.5), (0.0, 0.0)),
+        DiscreteHop(Step("primal", Edge(0, 0, "v"))),
+    )
+    out.append(("mixed", two, mixed))
+    edge = Edge(0, 0, "v")
+    braided = (
+        DiscreteHop(Step("primal", Edge(0, 2, "h"))),
+        DiscreteHop(Step("dual", Edge(2, 0, "h"))),
+        EdgeSlide("primal", edge, 0.0, 0.6),
+        EdgeSlide("primal", edge, 0.6, 1.0),
+        DiscreteHop(Step("primal", edge)),
+        DiscreteHop(Step("dual", Edge(2, 0, "h"))),
+        FaceMove("primal", face, (0.0, 0.0), (0.5, 0.5)),
+        FaceMove("primal", face, (0.5, 0.5), (1.0, 1.0)),
+        DiscreteHop(Step("primal", Edge(1, 0, "v"))),
+        DiscreteHop(Step("primal", Edge(0, 0, "h"))),
+    )
+    out.append(("braided", braid, braided))
+    return out
+
+
+CONTINUOUS_SHA256 = "ca11e066f336e51785299fd3a2f9bf21b09e488d3d24b9c3be4bd4180cd329c6"
+
+
+def test_continuous_transport_matches_the_pinned_digest(
+    toric3_two_primal, toric3_two_dual, toric3_braidable
+):
+    """Face and edge loops, dual face moves, boundary exits and mixed paths:
+    the transcript, the final configuration, and the frame's rows and its
+    values rounded to 1e-12."""
+    h = hashlib.sha256()
+    for name, tc, segs in _continuous_paths(toric3_two_primal, toric3_two_dual, toric3_braidable):
+        st = _State(tc).run(segs)
+        assert st.frame.rows.size and st.cfg is not None
+        h.update(repr((name, st.transcript, st.cfg)).encode())
+        h.update(st.frame.rows.tobytes())
+        h.update((np.round(st.frame.vals, 12) + 0.0).tobytes())
+    assert h.hexdigest() == CONTINUOUS_SHA256
